@@ -8,15 +8,15 @@
  *  - sim_us_per_op: simulated latency of one operation
  *  - sim_MBps: simulated delivered bandwidth.
  *
- * Carries its own main so three extra flags ride alongside the
+ * Carries its own main so two extra flags ride alongside the
  * google-benchmark ones:
  *  - --profile            run a span-profiled PUT pass after the
  *                         suite and print the critical-path table
  *  - --profile-out=FILE   write that breakdown as JSON
  *                         (default PROFILE_micro_putget.json)
- *  - --span-trace-out=F   write the pass's span rings as Chrome
- *                         trace JSON
- * plus the repo-wide --json-out (obs/cli.hh) for BENCH_*.json.
+ * plus the repo-wide --json-out for BENCH_*.json and --trace-out=F
+ * (obs/cli.hh), which writes the profile pass's full span log as
+ * Chrome trace JSON.
  */
 
 #include <benchmark/benchmark.h>
@@ -188,7 +188,7 @@ namespace
  */
 void
 run_profile_pass(const std::string &profileOut,
-                 const std::string &spanTraceOut,
+                 const std::string &traceOut,
                  obs::BenchReport &report)
 {
     constexpr int count = 64;
@@ -217,12 +217,11 @@ run_profile_pass(const std::string &profileOut,
         std::printf("profile JSON written to %s\n",
                     profileOut.c_str());
     }
-    if (!spanTraceOut.empty()) {
-        if (!m.dump_flight_recorder(spanTraceOut))
-            fatal("cannot write span trace to %s",
-                  spanTraceOut.c_str());
+    if (!traceOut.empty()) {
+        if (!m.write_trace(traceOut))
+            fatal("cannot write trace to %s", traceOut.c_str());
         std::printf("span Chrome trace written to %s\n",
-                    spanTraceOut.c_str());
+                    traceOut.c_str());
     }
     report.set("profile.coverage", rep.coverage());
     report.set("profile.put_coverage",
@@ -314,7 +313,7 @@ main(int argc, char **argv)
     obs::BenchReport report("micro_putget");
     bool profile = false;
     std::string profileOut = "PROFILE_micro_putget.json";
-    std::string spanTraceOut;
+    obs::ObsOptions obsOpts;
     std::vector<char *> rest;
     rest.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
@@ -324,12 +323,15 @@ main(int argc, char **argv)
         else if (std::strncmp(a, "--profile-out=", 14) == 0) {
             profileOut = a + 14;
             profile = true;
-        } else if (std::strncmp(a, "--span-trace-out=", 17) == 0) {
-            spanTraceOut = a + 17;
-            profile = true;
+        } else if (obs::consume_obs_arg(a, obsOpts)) {
+            if (!obsOpts.traceOut.empty())
+                profile = true;
         } else if (!report.consume_arg(a))
             rest.push_back(argv[i]);
     }
+    if (!obsOpts.statsOut.empty() || obsOpts.timeline_enabled())
+        fatal("bench_micro_putget takes --trace-out and --debug-flags "
+              "of the shared telemetry flags, no stats or timeline");
     int bargc = static_cast<int>(rest.size());
     benchmark::Initialize(&bargc, rest.data());
     if (benchmark::ReportUnrecognizedArguments(bargc, rest.data()))
@@ -338,7 +340,7 @@ main(int argc, char **argv)
     benchmark::Shutdown();
 
     if (profile)
-        run_profile_pass(profileOut, spanTraceOut, report);
+        run_profile_pass(profileOut, obsOpts.traceOut, report);
     run_speed_pass(report);
     report.write();
     return 0;

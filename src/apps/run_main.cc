@@ -82,7 +82,8 @@ usage(const char *prog)
         "                     (survivors reconfigure; repeatable)\n"
         "  --stats-out=FILE   write the stats registry as JSON\n"
         "  --stats-text       print the flat stats table to stdout\n"
-        "  --trace-out=FILE   write a Chrome trace_event timeline\n"
+        "  --trace-out=FILE   write the full span log (stages and\n"
+        "                     marks) as Chrome trace JSON\n"
         "  --timeline-out=FILE  sample the stats registry on a\n"
         "                     model-time period, write the perf\n"
         "                     timeline JSON\n"
@@ -304,12 +305,10 @@ main(int argc, char **argv)
     // watchdog converts those into typed errors with a wait graph.
     if (!kills.empty() && !cfg.retry.watchdog_enabled())
         cfg.retry.watchdogUs = 100000.0;
-    if (profile)
+    if (profile || !obsOpts.traceOut.empty())
         cfg.spanMode = obs::SpanMode::full;
     cfg.postmortemOut = postmortemOut;
     hw::Machine machine(cfg);
-    if (!obsOpts.traceOut.empty())
-        machine.enable_tracing();
     if (obsOpts.timeline_enabled())
         machine.enable_timeline(obsOpts.timelinePeriodUs);
 

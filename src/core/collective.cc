@@ -46,28 +46,26 @@ constexpr std::int32_t group_tag_bit = 0x40000000;
 constexpr std::int32_t vgop_tag_bit = 0x50000000;
 
 /**
- * Scope guard emitting one collective-phase span on the cell's track,
+ * Scope guard emitting one collective mark on the cell's flight ring,
  * covering the guarded scope even across early returns.
  */
-class SpanGuard
+class MarkGuard
 {
   public:
-    SpanGuard(hw::Machine &m, int track, const char *name)
-        : machine(m), track(track), name(name),
-          begin(m.sim().now())
+    MarkGuard(hw::Machine &m, int cell, obs::SpanMark mark)
+        : machine(m), cell(cell), mark(mark), begin(m.sim().now())
     {
     }
 
-    ~SpanGuard()
+    ~MarkGuard()
     {
-        if (auto *tr = machine.tracer())
-            tr->span(track, "collective", name, begin);
+        machine.spans().mark(cell, mark, begin, machine.sim().now());
     }
 
   private:
     hw::Machine &machine;
-    int track;
-    const char *name;
+    int cell;
+    obs::SpanMark mark;
     Tick begin;
 };
 
@@ -143,7 +141,7 @@ Context::barrier()
     ev.op = TraceOp::barrier;
     trace(ev);
     ++ctxStats.barriers;
-    SpanGuard span(machine, cellId, "barrier");
+    MarkGuard mark(machine, cellId, obs::SpanMark::coll_barrier);
 
     // The S-net releases as soon as every *live* member has arrived;
     // a barrier crossed while cells are dead is marked degraded.
@@ -190,7 +188,7 @@ Context::allreduce(double value, ReduceOp op)
     ev.bytes = 8;
     trace(ev);
     ++ctxStats.gops;
-    SpanGuard span(machine, cellId, "allreduce");
+    MarkGuard mark(machine, cellId, obs::SpanMark::coll_allreduce);
 
     check_alive();
     if (machine.any_failed()) {
@@ -376,7 +374,8 @@ Context::barrier_group(const Group &group)
     ev.sendFlagAddr = group_hash(group);
     trace(ev);
     ++ctxStats.barriers;
-    SpanGuard span(machine, cellId, "barrier_group");
+    MarkGuard mark(machine, cellId,
+                   obs::SpanMark::coll_barrier_group);
 
     group_reduce(group, 0.0, ReduceOp::sum);
 }
@@ -391,7 +390,8 @@ Context::allreduce_group(const Group &group, double value, ReduceOp op)
     ev.sendFlagAddr = group_hash(group);
     trace(ev);
     ++ctxStats.gops;
-    SpanGuard span(machine, cellId, "allreduce_group");
+    MarkGuard mark(machine, cellId,
+                   obs::SpanMark::coll_allreduce_group);
 
     return group_reduce(group, value, op);
 }
@@ -406,7 +406,8 @@ Context::allreduce_vector(Addr vec, std::uint32_t count, ReduceOp op)
     ev.bytes = static_cast<std::uint64_t>(count) * 8;
     trace(ev);
     ++ctxStats.vgops;
-    SpanGuard span(machine, cellId, "allreduce_vector");
+    MarkGuard mark(machine, cellId,
+                   obs::SpanMark::coll_allreduce_vector);
 
     check_alive();
     int p = nprocs();

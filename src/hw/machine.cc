@@ -164,8 +164,8 @@ Machine::Machine(MachineConfig config)
     }
     // Kernel telemetry taps: the sharded kernel reports each parallel
     // window through this hook (fired on the coordinator while every
-    // worker is parked) and the machine forwards it to the tracer's
-    // worker tracks and the barrier_wait critical-path stage.
+    // worker is parked) and the machine records it as window marks
+    // and the barrier_wait critical-path stage.
     if (sim::ShardedSimulator *sh = sharded())
         sh->set_window_hook(
             [this](const sim::WindowRecord &w) { on_window(w); });
@@ -184,40 +184,23 @@ Machine::on_window(const sim::WindowRecord &w)
     Tick windowDone = 0;
     for (const sim::WindowShard &ws : w.shards)
         windowDone = std::max(windowDone, ws.last);
-    if (spanLayer.on() && shards > 1 && windowDone > 0) {
-        std::uint64_t tid = spanLayer.new_trace();
-        for (int s = 0; s < shards; ++s) {
-            const sim::WindowShard &ws =
-                w.shards[static_cast<std::size_t>(s)];
-            Tick from = ws.events > 0 ? ws.last : w.start;
-            if (from >= windowDone)
-                continue;
-            spanLayer.record(
-                -1, tid, obs::SpanStage::barrier_wait, from,
-                windowDone, obs::SpanOp::none,
-                static_cast<std::uint32_t>(
-                    std::min<std::uint64_t>(ws.events, UINT32_MAX)));
-        }
-    }
-    if (tracerPtr) {
-        for (int s = 0; s < shards; ++s) {
-            const sim::WindowShard &ws =
-                w.shards[static_cast<std::size_t>(s)];
-            if (ws.events == 0)
-                continue;
-            tracerPtr->span_at(
-                obs::worker_track(s), "kernel",
-                strprintf("w%llu:%llu ev",
-                          static_cast<unsigned long long>(w.index),
-                          static_cast<unsigned long long>(ws.events)),
-                w.start, ws.last);
-        }
-        tracerPtr->counter_at(
-            obs::machine_track, "kernel", "imbalance_x1000", w.start,
-            static_cast<double>(w.imbalanceX1000));
-        tracerPtr->counter_at(
-            obs::machine_track, "kernel", "barrier_wait_ns", w.start,
-            static_cast<double>(w.barrierWaitNs));
+    if (!spanLayer.on() || shards <= 1 || windowDone == 0)
+        return;
+    std::uint64_t tid = spanLayer.new_trace();
+    for (int s = 0; s < shards; ++s) {
+        const sim::WindowShard &ws =
+            w.shards[static_cast<std::size_t>(s)];
+        if (ws.events > 0)
+            spanLayer.mark(-1, obs::SpanMark::window, w.start, ws.last,
+                           tid, static_cast<std::uint32_t>(s));
+        Tick from = ws.events > 0 ? ws.last : w.start;
+        if (from >= windowDone)
+            continue;
+        spanLayer.record(
+            -1, tid, obs::SpanStage::barrier_wait, from, windowDone,
+            obs::SpanOp::none,
+            static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(ws.events, UINT32_MAX)));
     }
 }
 
@@ -233,9 +216,8 @@ Machine::fail_cell(CellId id)
     snetNet.fail_cell(id);
     if (rnetNet)
         rnetNet->flush_cell(id);
-    if (tracerPtr)
-        tracerPtr->instant(obs::machine_track, "fault",
-                           strprintf("kill:cell%d", id));
+    spanLayer.mark(id, obs::SpanMark::cell_kill, simulator.now(),
+                   simulator.now());
     if (killHook)
         killHook(id);
 }
@@ -610,30 +592,19 @@ Machine::dump_stats(const std::string &path) const
     return obs::write_file(path, stats_json(true));
 }
 
-void
-Machine::enable_tracing(std::size_t capacity)
-{
-    if (tracerPtr)
-        return;
-    tracerPtr = std::make_unique<obs::Tracer>(simulator, capacity);
-    tnetNet.set_tracer(tracerPtr.get());
-    bnetNet.set_tracer(tracerPtr.get());
-    if (rnetNet)
-        rnetNet->set_tracer(tracerPtr.get());
-    for (auto &c : cells) {
-        int track = c->id();
-        c->msc().set_tracer(tracerPtr.get(), track);
-        c->mc().set_tracer(tracerPtr.get(), track);
-        c->ring().set_tracer(tracerPtr.get(), track);
-    }
-}
-
 bool
 Machine::write_trace(const std::string &path) const
 {
-    if (!tracerPtr)
+    if (spanLayer.mode() != obs::SpanMode::full)
         return false;
-    return tracerPtr->write_chrome_json(path);
+    if (spanLayer.full_dropped() > 0)
+        warn("trace %s: span log reached its bound of %zu events; "
+             "%llu later events are not in the trace",
+             path.c_str(), spanLayer.events().size(),
+             static_cast<unsigned long long>(
+                 spanLayer.full_dropped()));
+    return obs::write_file(path,
+                           obs::span_chrome_json(spanLayer.events()));
 }
 
 std::string

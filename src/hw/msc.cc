@@ -23,14 +23,20 @@ Msc::Msc(sim::Simulator &sim, const MachineConfig &cfg, Cell &cell,
 {
 }
 
+void
+Msc::mark(obs::SpanMark m, std::uint64_t traceId)
+{
+    if (spans)
+        spans->mark(cell.id(), m, sim.now(), sim.now(), traceId);
+}
+
 bool
-Msc::injected_fault()
+Msc::injected_fault(std::uint64_t traceId)
 {
     bool hit = faults && faults->active() &&
                faults->inject_page_fault();
     if (hit) {
-        if (tracer)
-            tracer->instant(traceTrack, "fault", "injected_page_fault");
+        mark(obs::SpanMark::page_fault, traceId);
         AP_DPRINTF(Fault, "cell %d: injected page fault", cell.id());
     }
     return hit;
@@ -59,16 +65,14 @@ Msc::enqueue(CommandQueue &q, Command cmd)
     bool force = faults && faults->active() &&
                  faults->force_overflow();
     if (force) {
-        if (tracer)
-            tracer->instant(traceTrack, "fault", "forced_spill");
+        mark(obs::SpanMark::forced_spill, cmd.traceId);
         AP_DPRINTF(Fault, "cell %d: forced spill on %s", cell.id(),
                    queue_name(q));
     }
+    std::uint64_t traceId = cmd.traceId;
     bool spilled = q.push(std::move(cmd), force);
     if (spilled) {
-        if (tracer)
-            tracer->instant(traceTrack, "queue",
-                            std::string("spill:") + queue_name(q));
+        mark(obs::SpanMark::spill, traceId);
         AP_DPRINTF(Queue, "cell %d: %s spilled (depth %d)", cell.id(),
                    queue_name(q), q.spill_depth());
     }
@@ -163,11 +167,7 @@ Msc::maybe_refill(CommandQueue &q)
                        [this, &q]() {
                            int moved = q.refill();
                            q.set_refill_scheduled(false);
-                           if (tracer)
-                               tracer->instant(
-                                   traceTrack, "queue",
-                                   std::string("refill:") +
-                                       queue_name(q));
+                           mark(obs::SpanMark::refill);
                            AP_DPRINTF(Queue,
                                       "cell %d: %s refilled %d "
                                       "commands", cell.id(),
@@ -200,8 +200,8 @@ Msc::kick()
     // the event cost per send.
     Tick stream = us_to_ticks(cfg.timings.dmaPerByteUs *
                               static_cast<double>(cmd.bytes()));
-    auto fire = [this, cmd = std::move(cmd), popT, stream]() mutable {
-        process(std::move(cmd), popT, stream);
+    auto fire = [this, cmd = std::move(cmd), popT]() mutable {
+        process(std::move(cmd), popT);
     };
     static_assert(sim::EventFn::fits<decltype(fire)>(),
                   "send-pipeline closure must stay in the EventFn "
@@ -211,7 +211,7 @@ Msc::kick()
 }
 
 void
-Msc::process(Command cmd, Tick start, Tick stream)
+Msc::process(Command cmd, Tick start)
 {
     // Gather the payload this command sends, if any. Data-bearing
     // gathers fill a pooled buffer that the destination releases
@@ -221,8 +221,8 @@ Msc::process(Command cmd, Tick start, Tick stream)
     switch (cmd.kind) {
       case CommandKind::put:
       case CommandKind::send: {
-        if (injected_fault()) {
-            local_fault(cmd.laddr);
+        if (injected_fault(cmd.traceId)) {
+            local_fault(cmd.laddr, cmd.traceId);
             return;
         }
         payload = pool.acquire();
@@ -231,15 +231,15 @@ Msc::process(Command cmd, Tick start, Tick stream)
                                         cmd.localStride, payload);
         if (!r.ok) {
             pool.release(std::move(payload));
-            local_fault(r.faultAddr);
+            local_fault(r.faultAddr, cmd.traceId);
             return;
         }
         break;
       }
       case CommandKind::get_reply: {
         if (!cmd.isAckProbe) {
-            if (injected_fault()) {
-                local_fault(cmd.raddr);
+            if (injected_fault(cmd.traceId)) {
+                local_fault(cmd.raddr, cmd.traceId);
                 return;
             }
             payload = pool.acquire();
@@ -248,7 +248,7 @@ Msc::process(Command cmd, Tick start, Tick stream)
                 cmd.remoteStride, payload);
             if (!r.ok) {
                 pool.release(std::move(payload));
-                local_fault(r.faultAddr);
+                local_fault(r.faultAddr, cmd.traceId);
                 return;
             }
         }
@@ -263,9 +263,6 @@ Msc::process(Command cmd, Tick start, Tick stream)
         break; // header-only requests
     }
 
-    if (tracer && !payload.empty())
-        tracer->span_at(traceTrack, "dma", "dma_send",
-                        sim.now() - stream, sim.now());
     finish_send(std::move(cmd), std::move(payload), start);
 }
 
@@ -356,9 +353,6 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
     mscStats.cmdLatencyUs.sample(
         static_cast<std::uint64_t>(ticks_to_us(
             sim.now() - cmd.issuedAt)));
-    if (tracer)
-        tracer->span(traceTrack, "msc", to_string(cmd.kind),
-                     cmd.issuedAt);
 
     // Combined flag update: the send flag increments when the send
     // DMA completes (PUT/SEND at the origin; GET at the data owner,
@@ -385,11 +379,10 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
 }
 
 void
-Msc::local_fault(Addr addr)
+Msc::local_fault(Addr addr, std::uint64_t traceId)
 {
     ++mscStats.localFaults;
-    if (tracer)
-        tracer->instant(traceTrack, "fault", "local_fault");
+    mark(obs::SpanMark::local_fault, traceId);
     AP_DPRINTF(Fault, "cell %d: local fault at 0x%llx (command "
                "dropped)", cell.id(),
                static_cast<unsigned long long>(addr));
@@ -404,15 +397,14 @@ Msc::local_fault(Addr addr)
 }
 
 void
-Msc::remote_fault(Addr addr)
+Msc::remote_fault(Addr addr, std::uint64_t traceId)
 {
     // "If a page fault happens in a remote cell during message
     // transfer, the MSC+ interrupts the operating system and pulls
     // the remaining message from the network."
     ++mscStats.remoteFaults;
     ++mscStats.flushedMessages;
-    if (tracer)
-        tracer->instant(traceTrack, "fault", "remote_fault_flush");
+    mark(obs::SpanMark::remote_fault, traceId);
     AP_DPRINTF(Fault, "cell %d: remote fault at 0x%llx (message "
                "flushed)", cell.id(),
                static_cast<unsigned long long>(addr));
@@ -438,8 +430,6 @@ Msc::deliver(net::Message msg)
     if (spans && msg.traceId != 0)
         spans->record(cell.id(), msg.traceId,
                       obs::SpanStage::dma_recv, sim.now(), finish);
-    if (tracer && !msg.payload.empty())
-        tracer->span_at(traceTrack, "dma", "dma_recv", start, finish);
     AP_DPRINTF(DMA, "cell %d: recv DMA of %s from cell %d (%llu "
                "bytes)", cell.id(), net::to_string(msg.kind), msg.src,
                static_cast<unsigned long long>(msg.payload.size()));
@@ -469,15 +459,15 @@ Msc::receive_body(net::Message msg)
             cell.ring().deposit(std::move(rec));
         } else {
             ++mscStats.putsReceived;
-            if (injected_fault()) {
-                remote_fault(msg.raddr);
+            if (injected_fault(msg.traceId)) {
+                remote_fault(msg.raddr, msg.traceId);
                 return;
             }
             DmaResult r = DmaEngine::scatter(
                 cell.mc().mmu(), cell.mc().memory(), msg.raddr,
                 msg.remoteStride, msg.payload);
             if (!r.ok) {
-                remote_fault(r.faultAddr);
+                remote_fault(r.faultAddr, msg.traceId);
                 return;
             }
             pool.release(std::move(msg.payload));
@@ -508,15 +498,15 @@ Msc::receive_body(net::Message msg)
       case net::MsgKind::get_reply: {
         ++mscStats.getRepliesReceived;
         if (!msg.isAckProbe && !msg.payload.empty()) {
-            if (injected_fault()) {
-                remote_fault(msg.laddr);
+            if (injected_fault(msg.traceId)) {
+                remote_fault(msg.laddr, msg.traceId);
                 return;
             }
             DmaResult r = DmaEngine::scatter(
                 cell.mc().mmu(), cell.mc().memory(), msg.laddr,
                 msg.localStride, msg.payload);
             if (!r.ok) {
-                remote_fault(r.faultAddr);
+                remote_fault(r.faultAddr, msg.traceId);
                 return;
             }
             pool.release(std::move(msg.payload));
@@ -549,7 +539,7 @@ Msc::receive_body(net::Message msg)
                 cell.mc().regs().store(index + static_cast<int>(w), v);
             }
         } else if (!cell.mc().store(msg.raddr, msg.payload)) {
-            remote_fault(msg.raddr);
+            remote_fault(msg.raddr, msg.traceId);
             return;
         }
         pool.release(std::move(msg.payload));
@@ -578,7 +568,7 @@ Msc::receive_body(net::Message msg)
                                         cell.mc().memory(), msg.raddr,
                                         msg.remoteStride, data);
         if (!r.ok) {
-            remote_fault(r.faultAddr);
+            remote_fault(r.faultAddr, msg.traceId);
             return;
         }
         Command reply;
@@ -600,8 +590,8 @@ Msc::receive_body(net::Message msg)
         break;
       case net::MsgKind::broadcast: {
         // B-net data distribution: land the payload like a PUT.
-        if (injected_fault()) {
-            remote_fault(msg.raddr);
+        if (injected_fault(msg.traceId)) {
+            remote_fault(msg.raddr, msg.traceId);
             return;
         }
         DmaResult r = DmaEngine::scatter(
@@ -610,7 +600,7 @@ Msc::receive_body(net::Message msg)
                 msg.payload.size())),
             msg.payload);
         if (!r.ok) {
-            remote_fault(r.faultAddr);
+            remote_fault(r.faultAddr, msg.traceId);
             return;
         }
         pool.release(std::move(msg.payload));

@@ -39,7 +39,7 @@
 #include "hw/queues.hh"
 #include "net/link.hh"
 #include "net/message.hh"
-#include "obs/tracer.hh"
+#include "obs/span.hh"
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 #include "sim/process.hh"
@@ -178,17 +178,6 @@ class Msc
      */
     void set_fault_injector(sim::FaultInjector *inj) { faults = inj; }
 
-    /**
-     * Attach a cycle-timeline tracer (nullptr detaches). @p track is
-     * the timeline track events land on — the owning cell's id.
-     */
-    void
-    set_tracer(obs::Tracer *t, int track)
-    {
-        tracer = t;
-        traceTrack = track;
-    }
-
     /** Attach the machine's span layer (nullptr detaches). */
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
@@ -198,22 +187,25 @@ class Msc
     const char *queue_name(const CommandQueue &q) const;
     CommandQueue *pick_queue();
     void enqueue(CommandQueue &q, Command cmd);
-    bool injected_fault();
+    /** Roll an injected page fault for the transfer of operation
+     *  @p traceId. */
+    bool injected_fault(std::uint64_t traceId);
+    /** Record mark @p m as an instant on this cell's flight ring. */
+    void mark(obs::SpanMark m, std::uint64_t traceId = 0);
     /**
      * Runs at send-DMA completion (the single fused event kick()
      * schedules): gathers the payload, then injects. @p start is
-     * when the send engine picked the command up; @p stream is the
-     * payload streaming time already elapsed inside the event.
+     * when the send engine picked the command up.
      */
-    void process(Command cmd, Tick start, Tick stream);
+    void process(Command cmd, Tick start);
     void finish_send(Command cmd, std::vector<std::uint8_t> payload,
                      Tick start);
     /** Inject @p msg, bypassing the Link vtable when the raw T-net
      *  is wired directly (no reliable layer). */
     Tick send_msg(net::Message msg);
     void receive_body(net::Message msg);
-    void local_fault(Addr addr);
-    void remote_fault(Addr addr);
+    void local_fault(Addr addr, std::uint64_t traceId);
+    void remote_fault(Addr addr, std::uint64_t traceId);
 
     sim::Simulator &sim;
     const MachineConfig &cfg;
@@ -243,8 +235,6 @@ class Msc
     MscStats mscStats;
     FaultHook faultHook;
     sim::FaultInjector *faults = nullptr;
-    obs::Tracer *tracer = nullptr;
-    int traceTrack = 0;
     obs::SpanLayer *spans = nullptr;
 };
 

@@ -22,8 +22,9 @@ RingBuffer::deposit(SendRecord rec)
         // operating system, which then allocates a new buffer."
         capacityBytes *= 2;
         ++rbStats.growInterrupts;
-        if (tracer)
-            tracer->instant(traceTrack, "ring", "ring_grow");
+        if (spans && simPtr)
+            spans->mark(spanCell, obs::SpanMark::ring_grow,
+                        simPtr->now(), simPtr->now(), rec.traceId);
         AP_DPRINTF(Ring, "ring buffer grown to %zu bytes",
                    capacityBytes);
     }

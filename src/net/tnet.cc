@@ -79,6 +79,13 @@ Tnet::schedule_held_delivery(Message msg, Tick arrive)
     });
 }
 
+void
+Tnet::fault_mark(const Message &msg, obs::SpanMark m, Tick inject)
+{
+    if (spans)
+        spans->mark(msg.dst, m, inject, inject, msg.traceId);
+}
+
 Tick
 Tnet::send(Message msg)
 {
@@ -149,10 +156,7 @@ Tnet::send(Message msg)
                 spans->record(msg.dst, msg.traceId,
                               obs::SpanStage::net, inject, arrive,
                               obs::SpanOp::none, 1);
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("drop:") +
-                                    to_string(msg.kind));
+            fault_mark(msg, obs::SpanMark::drop, inject);
             AP_DPRINTF(Fault, "dropped %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             return arrive;
@@ -161,10 +165,7 @@ Tnet::send(Message msg)
             faults->try_hold(msg.dst,
                              sim::FaultInjector::HoldKind::duplicate)) {
             ++netStats.duplicated;
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("duplicate:") +
-                                    to_string(msg.kind));
+            fault_mark(msg, obs::SpanMark::duplicate, inject);
             AP_DPRINTF(Fault, "duplicated %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             schedule_held_delivery(msg, arrive);
@@ -175,22 +176,13 @@ Tnet::send(Message msg)
             // Held back past the FIFO clamp already recorded in
             // `last`: later same-pair traffic overtakes this message.
             ++netStats.reordered;
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("reorder:") +
-                                    to_string(msg.kind));
+            fault_mark(msg, obs::SpanMark::reorder, inject);
             AP_DPRINTF(Fault, "reordered %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
             if (spans && msg.traceId != 0)
                 spans->record(msg.dst, msg.traceId,
                               obs::SpanStage::net, inject,
                               arrive + faults->reorder_delay());
-            if (tracer && msg.src != msg.dst)
-                tracer->span_at(static_cast<int>(msg.dst), "tnet",
-                                std::string("flight:") +
-                                    to_string(msg.kind),
-                                inject,
-                                arrive + faults->reorder_delay());
             schedule_held_delivery(std::move(msg),
                                    arrive + faults->reorder_delay());
             return arrive;
@@ -202,10 +194,7 @@ Tnet::send(Message msg)
                     msg.payload.size())] ^= 0xFF;
             else
                 msg.checksum ^= 1;
-            if (tracer)
-                tracer->instant(obs::machine_track, "fault",
-                                std::string("corrupt:") +
-                                    to_string(msg.kind));
+            fault_mark(msg, obs::SpanMark::corrupt, inject);
             AP_DPRINTF(Fault, "corrupted %s %d -> %d",
                        to_string(msg.kind), msg.src, msg.dst);
         }
@@ -214,10 +203,6 @@ Tnet::send(Message msg)
     if (spans && msg.traceId != 0)
         spans->record(msg.dst, msg.traceId, obs::SpanStage::net,
                       inject, arrive);
-    if (tracer && msg.src != msg.dst)
-        tracer->span_at(static_cast<int>(msg.dst), "tnet",
-                        std::string("flight:") + to_string(msg.kind),
-                        inject, arrive);
     schedule_delivery(std::move(msg), arrive);
     return arrive;
 }

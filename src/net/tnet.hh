@@ -32,7 +32,6 @@
 #include "net/message.hh"
 #include "net/topology.hh"
 #include "obs/span.hh"
-#include "obs/tracer.hh"
 #include "sim/eventq.hh"
 #include "sim/fault.hh"
 
@@ -117,14 +116,9 @@ class Tnet final : public Link
      */
     void set_fault_injector(sim::FaultInjector *inj) { faults = inj; }
 
-    /**
-     * Attach a cycle-timeline tracer (nullptr detaches). Message
-     * flight spans land on the destination cell's track; injected
-     * network faults land on the machine track.
-     */
-    void set_tracer(obs::Tracer *t) { tracer = t; }
-
-    /** Attach the machine's span layer (nullptr detaches). */
+    /** Attach the machine's span layer (nullptr detaches). Flight
+     *  spans and injected-fault marks land on the destination
+     *  cell's ring. */
     void set_spans(obs::SpanLayer *s) { spans = s; }
 
     /**
@@ -147,6 +141,10 @@ class Tnet final : public Link
      *  admitted for this duplicated/reordered message on delivery. */
     void schedule_held_delivery(Message msg, Tick arrive);
 
+    /** Record injected fault @p m on @p msg as an instant at
+     *  @p inject on the destination cell's ring. */
+    void fault_mark(const Message &msg, obs::SpanMark m, Tick inject);
+
     sim::Simulator &sim;
     Torus topo;
     TnetParams prm;
@@ -163,7 +161,6 @@ class Tnet final : public Link
     /** per directed link (from * size + to) busy-until (contention). */
     std::unordered_map<std::uint64_t, Tick> linkBusy;
     TnetStats netStats;
-    obs::Tracer *tracer = nullptr;
     obs::SpanLayer *spans = nullptr;
 };
 

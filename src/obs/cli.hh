@@ -3,10 +3,11 @@
  * Shared telemetry command-line conventions.
  *
  * Every binary that drives the simulated machine — the app runner,
- * the benches, the stress harness — accepts the same three flags:
+ * the benches, the stress harness — accepts the same flags:
  *
  *   --stats-out=FILE          write the stats-registry JSON dump
- *   --trace-out=FILE          enable the tracer, write Chrome trace
+ *   --trace-out=FILE          record the full span log (span mode
+ *                             full), write it as Chrome trace JSON
  *   --timeline-out=FILE       enable the perf-timeline sampler
  *   --timeline-csv=FILE       also write the timeline as CSV
  *   --timeline-period-us=US   sampling period (model time)

@@ -80,7 +80,9 @@ analyze_spans(const std::vector<SpanEvent> &events)
     CritPathReport rep;
     std::map<std::uint64_t, std::vector<SpanEvent>> traces;
     for (const SpanEvent &ev : events) {
-        if (ev.traceId == 0)
+        // Marks (faults, waits, windows) are context, not pipeline
+        // stages: they never take a segment.
+        if (ev.traceId == 0 || ev.mark != SpanMark::none)
             continue;
         traces[ev.traceId].push_back(ev);
         ++rep.events;

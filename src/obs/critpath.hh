@@ -90,8 +90,8 @@ struct CritPathReport
 };
 
 /**
- * Attribute @p events (any order, any mix of traces). Events with
- * traceId 0 are ignored.
+ * Attribute @p events (any order, any mix of traces). Marks and
+ * events with traceId 0 are ignored.
  */
 CritPathReport analyze_spans(const std::vector<SpanEvent> &events);
 

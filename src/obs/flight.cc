@@ -19,7 +19,7 @@ FlightRecorder::push(const SpanEvent &ev)
         ring.push_back(ev);
     } else {
         ring[head] = ev;
-        head = (head + 1) % cap;
+        head = head + 1 == cap ? 0 : head + 1;
     }
     ++count;
 }
@@ -49,14 +49,6 @@ FlightRecorder::snapshot(std::size_t maxEvents) const
     return out;
 }
 
-void
-FlightRecorder::clear()
-{
-    ring.clear();
-    head = 0;
-    count = 0;
-}
-
 std::string
 flight_text(const std::vector<SpanEvent> &events)
 {
@@ -67,7 +59,7 @@ flight_text(const std::vector<SpanEvent> &events)
         out += strprintf(
             "  t=[%.2f, %.2f] us  cell %-3d %-12s trace %llu",
             ticks_to_us(ev.begin), ticks_to_us(ev.end), ev.cell,
-            to_string(ev.stage),
+            event_name(ev),
             static_cast<unsigned long long>(ev.traceId));
         if (ev.op != SpanOp::none)
             out += strprintf(" op=%s", to_string(ev.op));

@@ -2,10 +2,10 @@
  * @file
  * Per-cell flight recorder: a bounded ring of the last N span events.
  *
- * The tracer (obs/tracer.hh) must be enabled before the interesting
- * run; the flight recorder is the other way around — always on, so
- * the events leading up to a failure exist *after the fact*. Each
- * cell keeps a fixed preallocated ring of POD span events; a push is
+ * Always on, so the events leading up to a failure exist *after the
+ * fact*, with no flag to set before the interesting run. Each cell
+ * keeps a fixed preallocated ring of POD span events — pipeline
+ * stages and marks (faults, spills, waits) alike; a push is
  * an array store plus an index increment, which is what lets the
  * machine afford it on every message of every run. When a CommError
  * or watchdog fires, the merged rings are the black box: the last
@@ -54,9 +54,6 @@ class FlightRecorder
     /** Retained events, oldest first. @p maxEvents 0 = all. */
     std::vector<SpanEvent> snapshot(std::size_t maxEvents = 0) const;
 
-    /** Forget everything (capacity is kept). */
-    void clear();
-
   private:
     std::size_t cap;
     std::size_t head = 0; ///< next slot to overwrite
@@ -66,7 +63,7 @@ class FlightRecorder
 
 /**
  * Render flight-recorder @p events as a postmortem text block: one
- * line per event with trace id, stage, cell and tick window.
+ * line per event with trace id, stage or mark, cell and tick window.
  */
 std::string flight_text(const std::vector<SpanEvent> &events);
 

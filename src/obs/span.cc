@@ -78,6 +78,67 @@ to_string(SpanOp op)
     return "?";
 }
 
+const char *
+to_string(SpanMark mark)
+{
+    switch (mark) {
+      case SpanMark::none:
+        return "none";
+      case SpanMark::drop:
+        return "drop";
+      case SpanMark::duplicate:
+        return "duplicate";
+      case SpanMark::reorder:
+        return "reorder";
+      case SpanMark::corrupt:
+        return "corrupt";
+      case SpanMark::page_fault:
+        return "page_fault";
+      case SpanMark::forced_spill:
+        return "forced_spill";
+      case SpanMark::spill:
+        return "spill";
+      case SpanMark::refill:
+        return "refill";
+      case SpanMark::local_fault:
+        return "local_fault";
+      case SpanMark::remote_fault:
+        return "remote_fault";
+      case SpanMark::cell_kill:
+        return "cell_kill";
+      case SpanMark::ring_grow:
+        return "ring_grow";
+      case SpanMark::wait_flag:
+        return "wait_flag";
+      case SpanMark::wait_acks:
+        return "wait_acks";
+      case SpanMark::coll_barrier:
+        return "coll_barrier";
+      case SpanMark::coll_allreduce:
+        return "coll_allreduce";
+      case SpanMark::coll_barrier_group:
+        return "coll_barrier_group";
+      case SpanMark::coll_allreduce_group:
+        return "coll_allreduce_group";
+      case SpanMark::coll_allreduce_vector:
+        return "coll_allreduce_vector";
+      case SpanMark::movewait:
+        return "movewait";
+      case SpanMark::job:
+        return "job";
+      case SpanMark::window:
+        return "window";
+    }
+    return "?";
+}
+
+const char *
+event_name(const SpanEvent &ev)
+{
+    return ev.mark != SpanMark::none ? to_string(ev.mark)
+                                     : to_string(ev.stage);
+}
+
 SpanLayer::SpanLayer(int cells, std::size_t flightCapacity)
 {
     rings.reserve(static_cast<std::size_t>(cells) + 1);
@@ -102,9 +163,29 @@ SpanLayer::record(std::int32_t cell, std::uint64_t traceId,
     ev.stage = stage;
     ev.op = op;
     ev.aux = aux;
-    recordedCount.fetch_add(1, std::memory_order_relaxed);
+    push(ev);
+}
 
-    std::size_t idx = static_cast<std::size_t>(cell + 1);
+void
+SpanLayer::mark(std::int32_t cell, SpanMark m, Tick begin, Tick end,
+                std::uint64_t traceId, std::uint32_t aux)
+{
+    if (mode_ == SpanMode::off)
+        return;
+    SpanEvent ev;
+    ev.traceId = traceId != 0 ? traceId : new_trace();
+    ev.begin = begin;
+    ev.end = end;
+    ev.cell = cell;
+    ev.mark = m;
+    ev.aux = aux;
+    push(ev);
+}
+
+void
+SpanLayer::push(const SpanEvent &ev)
+{
+    std::size_t idx = static_cast<std::size_t>(ev.cell + 1);
     if (idx >= rings.size())
         idx = 0; // out-of-range track lands on the machine ring
     {
@@ -121,18 +202,16 @@ SpanLayer::record(std::int32_t cell, std::uint64_t traceId,
     }
 }
 
-void
-SpanLayer::clear()
+std::uint64_t
+SpanLayer::recorded() const
 {
-    {
-        std::lock_guard<std::mutex> lock(fullMutex);
-        fullLog.clear();
-        fullDropped = 0;
-    }
+    // Every event lands in exactly one ring, in every mode.
+    std::uint64_t n = 0;
     for (std::size_t i = 0; i < rings.size(); ++i) {
         std::lock_guard<std::mutex> lock(ringLocks[i]);
-        rings[i].clear();
+        n += rings[i].total();
     }
+    return n;
 }
 
 const FlightRecorder &
@@ -166,8 +245,7 @@ SpanLayer::flight_events(std::size_t maxPerCell) const
 std::string
 span_chrome_json(const std::vector<SpanEvent> &events)
 {
-    // Same trace_event dialect as obs::Tracer::chrome_json(): one
-    // thread per cell, complete events, microsecond timestamps.
+    // One thread per cell, microsecond timestamps.
     std::string out = "{\"traceEvents\": [\n";
     bool first = true;
 
@@ -202,14 +280,22 @@ span_chrome_json(const std::vector<SpanEvent> &events)
         if (ev.aux != 0)
             args += strprintf(", \"aux\": %u", ev.aux);
         args += "}";
-        out += strprintf(
-            "  {\"name\": \"%s\", \"cat\": \"span\", \"ph\": \"X\", "
-            "\"ts\": %s, \"dur\": %s, \"pid\": 1, \"tid\": %d, "
-            "\"args\": %s}",
-            to_string(ev.stage),
-            json_number(ticks_to_us(ev.begin)).c_str(),
-            json_number(ticks_to_us(ev.end - ev.begin)).c_str(),
-            ev.cell + 1, args.c_str());
+        bool isMark = ev.mark != SpanMark::none;
+        std::string ts = json_number(ticks_to_us(ev.begin));
+        if (isMark && ev.begin == ev.end)
+            out += strprintf(
+                "  {\"name\": \"%s\", \"cat\": \"mark\", "
+                "\"ph\": \"i\", \"s\": \"t\", \"ts\": %s, "
+                "\"pid\": 1, \"tid\": %d, \"args\": %s}",
+                event_name(ev), ts.c_str(), ev.cell + 1, args.c_str());
+        else
+            out += strprintf(
+                "  {\"name\": \"%s\", \"cat\": \"%s\", "
+                "\"ph\": \"X\", \"ts\": %s, \"dur\": %s, "
+                "\"pid\": 1, \"tid\": %d, \"args\": %s}",
+                event_name(ev), isMark ? "mark" : "span", ts.c_str(),
+                json_number(ticks_to_us(ev.end - ev.begin)).c_str(),
+                ev.cell + 1, args.c_str());
     }
     out += "\n]}\n";
     return out;

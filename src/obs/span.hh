@@ -4,14 +4,20 @@
  *
  * The paper's central claim is a latency breakdown (Figs. 7-8): a PUT
  * is 8 user-level stores, then MSC+ queueing, DMA send, T-net
- * transit, receive DMA and the flag update. The stats registry and
- * tracer (obs/stats_registry.hh, obs/tracer.hh) aggregate those
- * stages machine-wide but cannot say which stage dominated *one*
- * transfer. This layer can: every PUT/GET/SEND/broadcast gets a
+ * transit, receive DMA and the flag update. The stats registry
+ * (obs/stats_registry.hh) aggregates those stages machine-wide but
+ * cannot say which stage dominated *one* transfer. This layer can:
+ * every PUT/GET/SEND/broadcast gets a
  * machine-unique trace id stamped at command issue and propagated
  * through the MSC+ queues, the DMA engines, the network envelopes
  * (retransmits become child spans) and the GET reply, producing a
  * span set per operation with begin/end ticks per stage.
+ *
+ * The same stream carries *marks* (SpanMark): events outside the
+ * pipeline — injected faults, queue spills and refills, waits,
+ * collectives, job attempts, kernel windows — recorded by the same
+ * probes, into the same rings and log. It is the machine's one trace
+ * pipeline; `--trace-out` is the full log rendered as Chrome JSON.
  *
  * Three modes:
  *  - off:    no ids, no events, probes cost one predictable branch;
@@ -91,6 +97,40 @@ constexpr int span_op_count = 9;
 const char *to_string(SpanOp op);
 
 /**
+ * Non-pipeline event a SpanEvent may carry instead of a stage. Marks
+ * are shown by the flight recorder and the Chrome export (an instant
+ * when begin == end) but never enter critical-path attribution.
+ */
+enum class SpanMark : std::uint8_t
+{
+    none,         ///< a pipeline stage event (the common case)
+    drop,         ///< fault injector dropped a T-net message
+    duplicate,    ///< ... delivered it twice
+    reorder,      ///< ... held it back past later traffic
+    corrupt,      ///< ... flipped a payload byte
+    page_fault,   ///< injected page fault during transfer DMA
+    forced_spill, ///< injected queue overflow
+    spill,        ///< command queue spilled to DRAM
+    refill,       ///< refill interrupt reloaded a queue
+    local_fault,  ///< send-side fault: command dropped
+    remote_fault, ///< receive-side fault: message flushed
+    cell_kill,    ///< fault plan killed the cell
+    ring_grow,    ///< receive ring buffer doubled
+    wait_flag,    ///< processor blocked in wait_flag
+    wait_acks,    ///< processor blocked in wait_all_acks
+    coll_barrier, ///< collective calls, entry to return
+    coll_allreduce,
+    coll_barrier_group,
+    coll_allreduce_group,
+    coll_allreduce_vector,
+    movewait,     ///< runtime MOVEWAIT, entry to return
+    job,          ///< serve job attempt (aux = job id)
+    window,       ///< kernel window, one shard's busy part (aux = shard)
+};
+
+const char *to_string(SpanMark mark);
+
+/**
  * One recorded lifecycle event. POD on purpose: the flight recorder
  * stores these by value in a preallocated ring and the record path
  * must not allocate.
@@ -101,15 +141,25 @@ struct SpanEvent
     Tick begin = 0;
     Tick end = 0;
     std::int32_t cell = -1; ///< owning cell; -1 = machine-wide
-    SpanStage stage = SpanStage::issue;
+    SpanStage stage = SpanStage::issue; ///< meaningless on marks
     SpanOp op = SpanOp::none; ///< set on issue-stage events only
-    /** Stage-specific detail: retransmit try count, 1 for a net
-     *  span whose message was dropped in flight. */
+    SpanMark mark = SpanMark::none; ///< none = a stage event
+    /** Stage- or mark-specific detail: retransmit try count, 1 for a
+     *  net span whose message was dropped in flight, barrier_wait
+     *  events, job id, window shard. */
     std::uint32_t aux = 0;
 };
 
+// The mark rides in the padding after `op`: the flight rings keep
+// their size.
+static_assert(sizeof(SpanEvent) == 40);
+
+/** Display name of @p ev: its mark, or its stage for stage events. */
+const char *event_name(const SpanEvent &ev);
+
 /** Render @p events as Chrome trace_event JSON (one thread per
- *  cell, complete "X" events, trace id and stage in args). */
+ *  cell; complete "X" events, marks with begin == end as instant "i"
+ *  events; trace id and op in args). */
 std::string span_chrome_json(const std::vector<SpanEvent> &events);
 
 /** Render @p events as a flat text table, one line per event. */
@@ -162,21 +212,22 @@ class SpanLayer
                 SpanStage stage, Tick begin, Tick end,
                 SpanOp op = SpanOp::none, std::uint32_t aux = 0);
 
+    /**
+     * Record mark @p m over [begin, end] (begin == end: an instant)
+     * on the record() path. @p traceId ties the mark to the message
+     * it concerns; 0 takes a fresh id.
+     */
+    void mark(std::int32_t cell, SpanMark m, Tick begin, Tick end,
+              std::uint64_t traceId = 0, std::uint32_t aux = 0);
+
     /** Events recorded since construction (all modes). */
-    std::uint64_t
-    recorded() const
-    {
-        return recordedCount.load(std::memory_order_relaxed);
-    }
+    std::uint64_t recorded() const;
 
     /** The full-mode in-order log (empty unless mode was full). */
     const std::vector<SpanEvent> &events() const { return fullLog; }
 
     /** Full-log events dropped at the capacity bound. */
     std::uint64_t full_dropped() const { return fullDropped; }
-
-    /** Drop all recorded events (rings and full log). */
-    void clear();
 
     /** The flight ring of @p cell (-1 = the machine-wide ring). */
     const FlightRecorder &flight(std::int32_t cell) const;
@@ -190,9 +241,10 @@ class SpanLayer
     flight_events(std::size_t maxPerCell = 0) const;
 
   private:
+    void push(const SpanEvent &ev);
+
     SpanMode mode_ = SpanMode::flight;
     std::atomic<std::uint64_t> lastTrace{0};
-    std::atomic<std::uint64_t> recordedCount{0};
     std::uint64_t fullDropped = 0;
     std::size_t fullCapacity = default_full_capacity;
     /** Guards the full-mode log (appended from every shard). */

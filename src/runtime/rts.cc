@@ -223,8 +223,8 @@ Runtime::movewait()
         throw core::CommError(e.kind(), ctx.id(), e.peer(),
                               strprintf("movewait: %s", e.what()));
     }
-    if (auto *tr = ctx.owner().tracer())
-        tr->span(ctx.id(), "rts", "movewait", begin);
+    ctx.owner().spans().mark(ctx.id(), obs::SpanMark::movewait, begin,
+                             ctx.owner().sim().now());
 }
 
 // -------------------------------------------------------- OVERLAP FIX

@@ -331,7 +331,6 @@ GangScheduler::finish_attempt_locked(Attempt &a)
     for (CellId c : a.place.cells)
         deadMember = deadMember || machine.cell_failed(c);
 
-    const char *outcome = nullptr;
     if (deadMember || a.errored) {
         // A failed gang can leave one-sided traffic and unconsumed
         // ring-buffer records on its cells: retire the partition
@@ -363,7 +362,6 @@ GangScheduler::finish_attempt_locked(Attempt &a)
                     jobIdx = i;
             machine.sim().schedule_after_for(
                 -1, delay, [this, jobIdx] { requeue(jobIdx); });
-            outcome = "retrying";
         } else {
             r.state = JobState::failed;
             r.stateNum = static_cast<std::uint64_t>(r.state);
@@ -378,7 +376,6 @@ GangScheduler::finish_attempt_locked(Attempt &a)
                 static_cast<unsigned long long>(r.attempts),
                 err.c_str());
             tot.failedTerminal++;
-            outcome = "failed";
         }
     } else if (a.deadlined || a.stopped) {
         parts.release(a.place);
@@ -390,26 +387,19 @@ GangScheduler::finish_attempt_locked(Attempt &a)
                              deadline_name(r.spec.deadline),
                              deadline_us(r.spec.deadline));
         tot.deadlineCancelled++;
-        outcome = "deadline";
     } else {
         parts.release(a.place);
         r.state = JobState::completed;
         r.stateNum = static_cast<std::uint64_t>(r.state);
         r.finishTick = now;
         tot.completed++;
-        outcome = "completed";
     }
     if (r.terminal())
         lastFinishTick = std::max(lastFinishTick, r.finishTick);
 
-    if (obs::Tracer *tr = machine.tracer())
-        tr->span_at(a.place.cells.front(), "serve",
-                    strprintf("job%d:%s a%llu %s", r.spec.id,
-                              kind_name(r.spec.kind),
-                              static_cast<unsigned long long>(
-                                  r.attempts),
-                              outcome),
-                    a.startTick, now);
+    machine.spans().mark(a.place.cells.front(), obs::SpanMark::job,
+                         a.startTick, now, 0,
+                         static_cast<std::uint32_t>(r.spec.id));
 
     try_admit_locked();
 }

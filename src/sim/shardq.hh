@@ -224,8 +224,8 @@ class ShardedSimulator final : public Simulator
     /**
      * Observer called on the coordinator thread after each parallel
      * window's barrier + merge, while every worker is parked — the
-     * machine quiescent point. The machine uses it to feed the
-     * tracer and the barrier_wait critical-path stage without the
+     * machine quiescent point. The machine uses it to record window
+     * marks and the barrier_wait critical-path stage without the
      * sim layer depending on obs.
      */
     using WindowHook = std::function<void(const WindowRecord &)>;

@@ -2,8 +2,8 @@
  * @file
  * Telemetry-layer tests: JSON emitter/validator, the stats registry
  * (paths, pattern queries, subtree removal, dumps), debug-flag
- * parsing, the bounded tracer ring, and the end-to-end timeline of a
- * two-cell PUT program.
+ * parsing, and the end-to-end span stream of a two-cell PUT
+ * program.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +18,8 @@
 #include "obs/debug.hh"
 #include "obs/json.hh"
 #include "obs/stats_registry.hh"
-#include "obs/tracer.hh"
+#include "obs/span.hh"
 #include "runtime/rts.hh"
-#include "sim/eventq.hh"
 
 using namespace ap;
 using namespace ap::obs;
@@ -218,94 +217,14 @@ TEST(DebugFlags, ObsArgConsumption)
     EXPECT_FALSE(consume_obs_arg("stray", opt));
 }
 
-// ----------------------------------------------------------------- tracer
+// ------------------------------------------ end-to-end PUT span stream
 
-TEST(Tracer, RingBoundsRetainedRecords)
-{
-    sim::Simulator s;
-    Tracer tr(s, 8); // clamped to the 16-record minimum
-    EXPECT_EQ(tr.capacity(), 16u);
-    for (int i = 0; i < 20; ++i)
-        tr.instant(0, "test", strprintf("ev%d", i));
-    EXPECT_EQ(tr.size(), 16u);
-    EXPECT_EQ(tr.dropped(), 4u);
-
-    auto snap = tr.snapshot();
-    ASSERT_EQ(snap.size(), 16u);
-    // Oldest-first: the 4 oldest aged out.
-    EXPECT_EQ(snap.front().name, "ev4");
-    EXPECT_EQ(snap.back().name, "ev19");
-}
-
-TEST(Tracer, SpansCarrySimulatedTime)
-{
-    sim::Simulator s;
-    Tracer tr(s, 64);
-    s.schedule(us_to_ticks(5.0), [&] {
-        tr.span(2, "test", "work", us_to_ticks(1.0));
-        tr.instant(machine_track, "test", "mark");
-    });
-    s.run();
-
-    auto snap = tr.snapshot();
-    ASSERT_EQ(snap.size(), 2u);
-    EXPECT_EQ(snap[0].ts, us_to_ticks(1.0));
-    EXPECT_EQ(snap[0].dur, us_to_ticks(4.0));
-    EXPECT_EQ(snap[0].track, 2);
-    EXPECT_FALSE(snap[0].instant);
-    EXPECT_TRUE(snap[1].instant);
-    EXPECT_EQ(snap[1].track, machine_track);
-
-    std::string err;
-    EXPECT_TRUE(json_valid(tr.chrome_json(), &err)) << err;
-}
-
-TEST(Tracer, ChromeJsonWritesToDisk)
-{
-    sim::Simulator s;
-    Tracer tr(s, 8);
-    tr.span_at(0, "test", "a", 0, us_to_ticks(2.0));
-    std::string path = testing::TempDir() + "ap_trace_rt.json";
-    ASSERT_TRUE(tr.write_chrome_json(path));
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    std::string err;
-    EXPECT_TRUE(json_valid(ss.str(), &err)) << err;
-    EXPECT_NE(ss.str().find("\"traceEvents\""), std::string::npos);
-    std::remove(path.c_str());
-}
-
-// ----------------------------------------------- end-to-end PUT timeline
-
-namespace
-{
-
-/** Names of interest of the PUT pipeline, in one filtered list. */
-std::vector<std::string>
-pipeline_names(const std::vector<TraceRecord> &recs)
-{
-    static const std::vector<std::string> interest = {
-        "put",      "dma_send",       "flight:PUT",
-        "dma_recv", "flag_increment", "wait_flag",
-    };
-    std::vector<std::string> out;
-    for (const TraceRecord &r : recs)
-        for (const std::string &n : interest)
-            if (r.name == n)
-                out.push_back(r.name);
-    return out;
-}
-
-} // namespace
-
-TEST(Tracer, TwoCellPutProducesThePipelineSpansInOrder)
+TEST(SpanStream, TwoCellPutProducesThePipelineSpansInOrder)
 {
     hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
     cfg.memBytesPerCell = 1 << 20;
+    cfg.spanMode = SpanMode::full;
     hw::Machine m(cfg);
-    m.enable_tracing();
 
     auto r = core::run_spmd(m, [](core::Context &ctx) {
         Addr buf = ctx.alloc(64);
@@ -316,19 +235,31 @@ TEST(Tracer, TwoCellPutProducesThePipelineSpansInOrder)
             ctx.wait_flag(rf, 1);
     });
     ASSERT_FALSE(r.deadlock);
-    ASSERT_NE(m.tracer(), nullptr);
 
-    // Golden recording order of one flagged PUT: the issuing MSC+
-    // finishes its gather DMA, hands the message to the T-net (the
-    // flight span is stamped at injection), closes the command span,
-    // then the receiving MSC+ scatters it and raises the flag, and
-    // the waiting processor's span closes last.
+    // Golden recording order of one flagged PUT: the issuing
+    // processor stores the command, the MSC+ pops it and finishes
+    // its gather DMA, the T-net flight is stamped at injection, then
+    // the receiving MSC+ scatters it and raises the flag, and the
+    // waiting processor's wait_flag mark closes last.
+    std::vector<std::string> names;
+    for (const SpanEvent &e : m.spans().events())
+        names.push_back(event_name(e));
     std::vector<std::string> expect = {
-        "dma_send",       "flight:PUT", "put",
-        "dma_recv",       "flag_increment", "wait_flag",
+        "issue",    "queue", "dma_send", "net",
+        "dma_recv", "flag",  "wait_flag",
     };
-    EXPECT_EQ(pipeline_names(m.tracer()->snapshot()), expect);
+    EXPECT_EQ(names, expect);
+    EXPECT_EQ(m.spans().events().back().mark, SpanMark::wait_flag);
+    EXPECT_EQ(m.spans().events().back().cell, 1);
 
+    std::string path = testing::TempDir() + "ap_span_trace.json";
+    ASSERT_TRUE(m.write_trace(path));
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
     std::string err;
-    EXPECT_TRUE(json_valid(m.tracer()->chrome_json(), &err)) << err;
+    EXPECT_TRUE(json_valid(ss.str(), &err)) << err;
+    EXPECT_NE(ss.str().find("\"wait_flag\", \"cat\": \"mark\""),
+              std::string::npos);
+    std::remove(path.c_str());
 }

@@ -285,6 +285,11 @@ TEST(CritPath, ExactAttributionOnSyntheticDag)
     std::vector<SpanEvent> log;
     log.push_back(ev(1, SpanStage::issue, 0, 10, SpanOp::put));
     log.push_back(ev(1, SpanStage::queue, 10, 20));
+    // A mark under the same trace id, wider than the trace: it must
+    // not take a segment, stretch the window or count as an event.
+    SpanEvent spill = ev(1, SpanStage::dma_send, 5, 60);
+    spill.mark = SpanMark::spill;
+    log.push_back(spill);
     log.push_back(ev(1, SpanStage::net, 15, 40));
     log.push_back(ev(1, SpanStage::dma_recv, 40, 50));
 
@@ -386,6 +391,44 @@ TEST(Postmortem, CommErrorCarriesANonEmptyFlightDump)
         << err;
     EXPECT_NE(err.find("trace"), std::string::npos) << err;
     EXPECT_NE(err.find("issue"), std::string::npos) << err;
+}
+
+TEST(Postmortem, FaultMarksLandInTheFlightRingsAndThePostmortem)
+{
+    // Every enqueue is forced through the DRAM spill path: the marks
+    // share the stages' stream, so the sender's flight ring holds
+    // them (tied to the PUT's trace id) and the postmortem names them.
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
+    cfg.faults = sim::FaultPlan::overflows(11, 1.0);
+    hw::Machine m(cfg);
+    core::SpmdResult r = core::run_spmd(m, [&](core::Context &ctx) {
+        Addr flag = ctx.alloc_flag();
+        Addr buf = ctx.alloc(64);
+        if (ctx.id() == 0)
+            ctx.put(1, buf, buf, 64, no_flag, flag);
+        else
+            ctx.wait_flag(flag, 1);
+    });
+    ASSERT_FALSE(r.failed());
+
+    std::uint64_t putTrace = 0;
+    std::set<SpanMark> marks;
+    for (const SpanEvent &e : m.spans().flight(0).snapshot()) {
+        if (e.op == SpanOp::put)
+            putTrace = e.traceId;
+        if (e.mark == SpanMark::forced_spill) {
+            EXPECT_EQ(e.traceId, putTrace);
+        }
+        marks.insert(e.mark);
+    }
+    EXPECT_TRUE(marks.count(SpanMark::forced_spill));
+    EXPECT_TRUE(marks.count(SpanMark::spill));
+    EXPECT_TRUE(marks.count(SpanMark::refill));
+
+    std::string pm = m.postmortem();
+    EXPECT_NE(pm.find("forced_spill"), std::string::npos) << pm;
+    EXPECT_NE(pm.find("refill"), std::string::npos) << pm;
+    EXPECT_NE(pm.find("wait_flag"), std::string::npos) << pm;
 }
 
 TEST(Postmortem, FlightDumpFileIsValidChromeTraceJson)

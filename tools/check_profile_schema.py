@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Schema checks for the observability JSON artifacts (CI gate).
 
-Three document kinds:
+Five document kinds:
 
   profile   critical-path breakdown written by `ap_run --profile-json=F`
             and `bench_micro_putget --profile-out=F`
             (obs/critpath.hh: coverage, stages.<name>, ops.<name>)
-  chrome    Chrome trace_event JSON written by the flight recorder
-            (`--flight-dump=F`, `--span-trace-out=F`)
+  chrome    Chrome trace_event JSON of span events written by the
+            flight recorder (`--flight-dump=F`) and the full span
+            log (`--trace-out=F`): complete ('X') events need
+            numeric ts and dur, instant ('i') events numeric ts
   timeline  perf-timeline JSON written by `--timeline-out=F`
             (obs/sampler.hh: series/level lists plus samples rows
             with strictly increasing t_us)
@@ -105,13 +107,16 @@ def check_chrome(path, doc):
         for key in ("name", "ph", "pid", "tid"):
             if key not in ev:
                 rc |= fail(path, f"traceEvents[{i}] missing '{key}'")
-        if ev.get("ph") == "X":
+        ph = ev.get("ph")
+        if ph == "X":
             seen_x = True
-            for key in ("ts", "dur"):
+        if ph in ("X", "i"):
+            keys = ("ts", "dur") if ph == "X" else ("ts",)
+            for key in keys:
                 if not is_num(ev.get(key)):
                     rc |= fail(
                         path,
-                        f"traceEvents[{i}] ('X') missing "
+                        f"traceEvents[{i}] ('{ph}') missing "
                         f"numeric '{key}'")
     if not seen_x:
         rc |= fail(path, "no complete ('X') span events")
@@ -268,27 +273,31 @@ def main(argv):
 
     rc = 0
     for path in files:
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            rc |= fail(path, f"unreadable or invalid JSON: {e}")
-            continue
-        if not isinstance(doc, dict):
-            rc |= fail(path, "top level is not an object")
-            continue
-        if kind == "profile":
-            rc |= check_profile(path, doc, min_coverage)
-        elif kind == "chrome":
-            rc |= check_chrome(path, doc)
-        elif kind == "sweep":
-            rc |= check_sweep(path, doc)
-        elif kind == "model":
-            rc |= check_model(path, doc)
-        else:
-            rc |= check_timeline(path, doc)
-        if rc == 0:
-            print(f"{path}: ok ({kind})")
+        rc |= check_file(path, kind, min_coverage)
+    return rc
+
+
+def check_file(path, kind, min_coverage):
+    """Check one file; print ok when it conforms. @return 0 or 1."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        return fail(path, f"unreadable or invalid JSON: {e}")
+    if not isinstance(doc, dict):
+        return fail(path, "top level is not an object")
+    if kind == "profile":
+        rc = check_profile(path, doc, min_coverage)
+    elif kind == "chrome":
+        rc = check_chrome(path, doc)
+    elif kind == "sweep":
+        rc = check_sweep(path, doc)
+    elif kind == "model":
+        rc = check_model(path, doc)
+    else:
+        rc = check_timeline(path, doc)
+    if rc == 0:
+        print(f"{path}: ok ({kind})")
     return rc
 
 
