@@ -14,9 +14,10 @@
  *                         suite and print the critical-path table
  *  - --profile-out=FILE   write that breakdown as JSON
  *                         (default PROFILE_micro_putget.json)
- * plus the repo-wide --json-out for BENCH_*.json and --trace-out=F
+ * plus the repo-wide --json-out for BENCH_*.json, --trace-out=F
  * (obs/cli.hh), which writes the profile pass's full span log as
- * Chrome trace JSON.
+ * Chrome trace JSON, and --debug-flags=A,B, which narrates the named
+ * span events (stage or mark names) to stderr.
  */
 
 #include <benchmark/benchmark.h>
@@ -330,8 +331,9 @@ main(int argc, char **argv)
             rest.push_back(argv[i]);
     }
     if (!obsOpts.statsOut.empty() || obsOpts.timeline_enabled())
-        fatal("bench_micro_putget takes --trace-out and --debug-flags "
-              "of the shared telemetry flags, no stats or timeline");
+        fatal("bench_micro_putget takes --trace-out and "
+              "--debug-flags=EVENT,... of the shared telemetry flags, "
+              "no stats or timeline");
     int bargc = static_cast<int>(rest.size());
     benchmark::Initialize(&bargc, rest.data());
     if (benchmark::ReportUnrecognizedArguments(bargc, rest.data()))

@@ -96,8 +96,8 @@ usage(const char *prog)
         "                     Chrome trace JSON\n"
         "  --postmortem-out=FILE  on CommError, also dump the full\n"
         "                     flight rings there\n"
-        "  --debug-flags=A,B  narrate categories to stderr "
-        "(MSC,DMA,TNet,Fault,...)\n",
+        "  --debug-flags=A,B  narrate the named span events to\n"
+        "                     stderr (spill,refill,net,...; All)\n",
         prog);
 }
 

@@ -81,7 +81,7 @@ Machine::Machine(MachineConfig config)
       dsmMap(cfg.cells, cfg.memBytesPerCell / 2),
       cellFailed(static_cast<std::size_t>(cfg.cells)),
       waitInfos(static_cast<std::size_t>(cfg.cells)),
-      spanLayer(cfg.cells, cfg.flightEvents)
+      spanLayer(cfg.cells, cfg.flightEvents, cfg.threads > 1)
 {
     spanLayer.set_mode(cfg.spanMode);
     // Wire fault injection only when the plan injects something: a

@@ -7,7 +7,6 @@
 #include "hw/cell.hh"
 #include "hw/dma.hh"
 #include "net/tnet.hh"
-#include "obs/debug.hh"
 
 namespace ap::hw
 {
@@ -35,27 +34,9 @@ Msc::injected_fault(std::uint64_t traceId)
 {
     bool hit = faults && faults->active() &&
                faults->inject_page_fault();
-    if (hit) {
+    if (hit)
         mark(obs::SpanMark::page_fault, traceId);
-        AP_DPRINTF(Fault, "cell %d: injected page fault", cell.id());
-    }
     return hit;
-}
-
-const char *
-Msc::queue_name(const CommandQueue &q) const
-{
-    if (&q == &userQ)
-        return "user_queue";
-    if (&q == &systemQ)
-        return "system_queue";
-    if (&q == &remoteQ)
-        return "remote_queue";
-    if (&q == &getReplyQ)
-        return "get_reply_queue";
-    if (&q == &loadReplyQ)
-        return "load_reply_queue";
-    return "?";
 }
 
 void
@@ -64,18 +45,11 @@ Msc::enqueue(CommandQueue &q, Command cmd)
     cmd.issuedAt = sim.now();
     bool force = faults && faults->active() &&
                  faults->force_overflow();
-    if (force) {
+    if (force)
         mark(obs::SpanMark::forced_spill, cmd.traceId);
-        AP_DPRINTF(Fault, "cell %d: forced spill on %s", cell.id(),
-                   queue_name(q));
-    }
     std::uint64_t traceId = cmd.traceId;
-    bool spilled = q.push(std::move(cmd), force);
-    if (spilled) {
+    if (q.push(std::move(cmd), force))
         mark(obs::SpanMark::spill, traceId);
-        AP_DPRINTF(Queue, "cell %d: %s spilled (depth %d)", cell.id(),
-                   queue_name(q), q.spill_depth());
-    }
     // A forced spill can land in an otherwise-empty queue; make sure
     // the refill interrupt is pending before kick() skips the queue
     // for having no hardware-resident commands.
@@ -165,13 +139,9 @@ Msc::maybe_refill(CommandQueue &q)
     q.set_refill_scheduled(true);
     sim.schedule_after(us_to_ticks(cfg.timings.interruptUs),
                        [this, &q]() {
-                           int moved = q.refill();
+                           q.refill();
                            q.set_refill_scheduled(false);
                            mark(obs::SpanMark::refill);
-                           AP_DPRINTF(Queue,
-                                      "cell %d: %s refilled %d "
-                                      "commands", cell.id(),
-                                      queue_name(q), moved);
                            kick();
                        });
 }
@@ -345,9 +315,6 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
         break;
     }
 
-    AP_DPRINTF(MSC, "cell %d: sent %s to cell %d (%llu bytes)",
-               cell.id(), to_string(cmd.kind), cmd.dst,
-               static_cast<unsigned long long>(msg.payload.size()));
     send_msg(std::move(msg));
 
     mscStats.cmdLatencyUs.sample(
@@ -365,11 +332,7 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
                 us_to_ticks(cfg.timings.flagUpdateUs),
                 [this, flag = cmd.sendFlag, tid = cmd.traceId,
                  fbegin = sim.now()]() {
-                    if (spans && tid != 0)
-                        spans->record(cell.id(), tid,
-                                      obs::SpanStage::flag, fbegin,
-                                      sim.now());
-                    cell.mc().increment_flag(flag);
+                    update_flag(flag, tid, fbegin);
                 });
         }
     }
@@ -379,13 +342,21 @@ Msc::finish_send(Command cmd, std::vector<std::uint8_t> payload,
 }
 
 void
+Msc::update_flag(Addr flag, std::uint64_t traceId, Tick begin,
+                 bool ackProbe)
+{
+    if (spans && traceId != 0 && (flag != no_flag || ackProbe))
+        spans->record(cell.id(), traceId, obs::SpanStage::flag, begin,
+                      sim.now());
+    if (!cell.mc().increment_flag(flag))
+        mark(obs::SpanMark::flag_fault, traceId);
+}
+
+void
 Msc::local_fault(Addr addr, std::uint64_t traceId)
 {
     ++mscStats.localFaults;
     mark(obs::SpanMark::local_fault, traceId);
-    AP_DPRINTF(Fault, "cell %d: local fault at 0x%llx (command "
-               "dropped)", cell.id(),
-               static_cast<unsigned long long>(addr));
     if (faultHook)
         faultHook(cell.id(), addr, false);
     // The OS services the fault; the command is dropped.
@@ -405,9 +376,6 @@ Msc::remote_fault(Addr addr, std::uint64_t traceId)
     ++mscStats.remoteFaults;
     ++mscStats.flushedMessages;
     mark(obs::SpanMark::remote_fault, traceId);
-    AP_DPRINTF(Fault, "cell %d: remote fault at 0x%llx (message "
-               "flushed)", cell.id(),
-               static_cast<unsigned long long>(addr));
     if (faultHook)
         faultHook(cell.id(), addr, true);
     recvBusyUntil =
@@ -430,9 +398,6 @@ Msc::deliver(net::Message msg)
     if (spans && msg.traceId != 0)
         spans->record(cell.id(), msg.traceId,
                       obs::SpanStage::dma_recv, sim.now(), finish);
-    AP_DPRINTF(DMA, "cell %d: recv DMA of %s from cell %d (%llu "
-               "bytes)", cell.id(), net::to_string(msg.kind), msg.src,
-               static_cast<unsigned long long>(msg.payload.size()));
     auto fire = [this, msg = std::move(msg)]() mutable {
         receive_body(std::move(msg));
     };
@@ -446,8 +411,6 @@ void
 Msc::receive_body(net::Message msg)
 {
     mscStats.payloadBytesReceived += msg.payload.size();
-    AP_DPRINTF(MSC, "cell %d: received %s from cell %d", cell.id(),
-               net::to_string(msg.kind), msg.src);
 
     switch (msg.kind) {
       case net::MsgKind::put_data: {
@@ -472,11 +435,7 @@ Msc::receive_body(net::Message msg)
             }
             pool.release(std::move(msg.payload));
         }
-        if (spans && msg.traceId != 0 && msg.destFlag != no_flag)
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
-        cell.mc().increment_flag(msg.destFlag);
+        update_flag(msg.destFlag, msg.traceId, sim.now());
         break;
       }
       case net::MsgKind::get_request: {
@@ -516,12 +475,8 @@ Msc::receive_body(net::Message msg)
             ++mscStats.acksReceived;
             ackCond.notify_all();
         }
-        if (spans && msg.traceId != 0 &&
-            (msg.originFlag != no_flag || msg.isAckProbe))
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
-        cell.mc().increment_flag(msg.originFlag);
+        update_flag(msg.originFlag, msg.traceId, sim.now(),
+                    msg.isAckProbe);
         break;
       }
       case net::MsgKind::remote_store: {
@@ -604,11 +559,7 @@ Msc::receive_body(net::Message msg)
             return;
         }
         pool.release(std::move(msg.payload));
-        if (spans && msg.traceId != 0 && msg.destFlag != no_flag)
-            spans->record(cell.id(), msg.traceId,
-                          obs::SpanStage::flag, sim.now(),
-                          sim.now());
-        cell.mc().increment_flag(msg.destFlag);
+        update_flag(msg.destFlag, msg.traceId, sim.now());
         break;
       }
       case net::MsgKind::rnet_ack:

@@ -184,7 +184,6 @@ class Msc
   private:
     void kick();
     void maybe_refill(CommandQueue &q);
-    const char *queue_name(const CommandQueue &q) const;
     CommandQueue *pick_queue();
     void enqueue(CommandQueue &q, Command cmd);
     /** Roll an injected page fault for the transfer of operation
@@ -204,6 +203,14 @@ class Msc
      *  is wired directly (no reliable layer). */
     Tick send_msg(net::Message msg);
     void receive_body(net::Message msg);
+    /**
+     * The MC flag update completing operation @p traceId: record its
+     * flag stage over [@p begin, now] (also for an @p ackProbe with
+     * no flag), then fetch-and-increment @p flag; a flag page fault
+     * is a flag_fault mark.
+     */
+    void update_flag(Addr flag, std::uint64_t traceId, Tick begin,
+                     bool ackProbe = false);
     void local_fault(Addr addr, std::uint64_t traceId);
     void remote_fault(Addr addr, std::uint64_t traceId);
 

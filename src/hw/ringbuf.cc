@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
 
 namespace ap::hw
 {
@@ -25,13 +24,8 @@ RingBuffer::deposit(SendRecord rec)
         if (spans && simPtr)
             spans->mark(spanCell, obs::SpanMark::ring_grow,
                         simPtr->now(), simPtr->now(), rec.traceId);
-        AP_DPRINTF(Ring, "ring buffer grown to %zu bytes",
-                   capacityBytes);
     }
     usedBytes += rec.payload.size();
-    AP_DPRINTF(Ring, "deposit from cell %d tag %d (%zu bytes, depth "
-               "%zu)", rec.src, rec.tag, rec.payload.size(),
-               records.size() + 1);
     if (simPtr)
         rec.depositedAt = simPtr->now();
     if (spans && rec.traceId != 0 && simPtr)

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
 
 namespace ap::net
 {
@@ -41,9 +40,6 @@ Bnet::broadcast(Message msg)
     if (spans && msg.traceId != 0)
         spans->record(-1, msg.traceId, obs::SpanStage::net, start,
                       arrive);
-    AP_DPRINTF(BNet, "broadcast from cell %d (%llu wire bytes)",
-               msg.src,
-               static_cast<unsigned long long>(msg.wire_bytes()));
 
     for (std::size_t id = 0; id < handlers.size(); ++id) {
         if (static_cast<CellId>(id) == msg.src || !handlers[id])

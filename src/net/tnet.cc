@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
 
 namespace ap::net
 {
@@ -142,11 +141,6 @@ Tnet::send(Message msg)
     if (!handler)
         panic("no receive handler attached to cell %d", msg.dst);
 
-    AP_DPRINTF(TNet, "%s %d -> %d (%llu wire bytes, %.2f us)",
-               to_string(msg.kind), msg.src, msg.dst,
-               static_cast<unsigned long long>(msg.wire_bytes()),
-               ticks_to_us(arrive - inject));
-
     if (inject_faults) {
         if (faults->drop_message()) {
             // The wire was used (stats above) but nothing arrives.
@@ -157,8 +151,6 @@ Tnet::send(Message msg)
                               obs::SpanStage::net, inject, arrive,
                               obs::SpanOp::none, 1);
             fault_mark(msg, obs::SpanMark::drop, inject);
-            AP_DPRINTF(Fault, "dropped %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
             return arrive;
         }
         if (faults->duplicate_message() &&
@@ -166,8 +158,6 @@ Tnet::send(Message msg)
                              sim::FaultInjector::HoldKind::duplicate)) {
             ++netStats.duplicated;
             fault_mark(msg, obs::SpanMark::duplicate, inject);
-            AP_DPRINTF(Fault, "duplicated %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
             schedule_held_delivery(msg, arrive);
         }
         if (faults->reorder_message() &&
@@ -177,8 +167,6 @@ Tnet::send(Message msg)
             // `last`: later same-pair traffic overtakes this message.
             ++netStats.reordered;
             fault_mark(msg, obs::SpanMark::reorder, inject);
-            AP_DPRINTF(Fault, "reordered %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
             if (spans && msg.traceId != 0)
                 spans->record(msg.dst, msg.traceId,
                               obs::SpanStage::net, inject,
@@ -195,8 +183,6 @@ Tnet::send(Message msg)
             else
                 msg.checksum ^= 1;
             fault_mark(msg, obs::SpanMark::corrupt, inject);
-            AP_DPRINTF(Fault, "corrupted %s %d -> %d",
-                       to_string(msg.kind), msg.src, msg.dst);
         }
     }
 

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "base/logging.hh"
-#include "obs/debug.hh"
+#include "obs/span.hh"
 
 namespace ap::obs
 {
@@ -35,9 +35,11 @@ consume_obs_arg(const char *arg, ObsOptions &opt)
         return true;
     }
     if (std::strncmp(arg, "--debug-flags=", 14) == 0) {
+        std::uint64_t mask = narration_mask();
         std::string err;
-        if (!parse_debug_flags(arg + 14, &err))
+        if (!parse_event_names(arg + 14, mask, &err))
             fatal("%s", err.c_str());
+        set_narration_mask(mask);
         return true;
     }
     return false;

@@ -11,7 +11,9 @@
  *   --timeline-out=FILE       enable the perf-timeline sampler
  *   --timeline-csv=FILE       also write the timeline as CSV
  *   --timeline-period-us=US   sampling period (model time)
- *   --debug-flags=A,B         turn on debug-log categories
+ *   --debug-flags=A,B         narrate the span events named A, B
+ *                             (stage or mark names, or All) to
+ *                             stderr as they are recorded
  *
  * consume_obs_arg() recognizes and applies them so each main() needs
  * one line per argv entry. BenchReport is the bench half of the
@@ -58,9 +60,9 @@ struct ObsOptions
 
 /**
  * If @p arg is one of the shared telemetry flags, apply it (including
- * --debug-flags, which takes effect immediately) and return true;
- * otherwise return false so the caller handles it. An unknown debug
- * flag name is a fatal() user error.
+ * --debug-flags, which sets the narration mask immediately) and
+ * return true; otherwise return false so the caller handles it. An
+ * unknown event name is a fatal() user error listing the valid ones.
  */
 bool consume_obs_arg(const char *arg, ObsOptions &opt);
 

@@ -15,13 +15,7 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 void
 FlightRecorder::push(const SpanEvent &ev)
 {
-    if (ring.size() < cap) {
-        ring.push_back(ev);
-    } else {
-        ring[head] = ev;
-        head = head + 1 == cap ? 0 : head + 1;
-    }
-    ++count;
+    next_slot() = ev;
 }
 
 std::size_t
@@ -50,23 +44,27 @@ FlightRecorder::snapshot(std::size_t maxEvents) const
 }
 
 std::string
+flight_line(const SpanEvent &ev)
+{
+    std::string out = strprintf(
+        "t=[%.2f, %.2f] us  cell %-3d %-12s trace %llu",
+        ticks_to_us(ev.begin), ticks_to_us(ev.end), ev.cell,
+        event_name(ev), static_cast<unsigned long long>(ev.traceId));
+    if (ev.op != SpanOp::none)
+        out += strprintf(" op=%s", to_string(ev.op));
+    if (ev.aux != 0)
+        out += strprintf(" aux=%u", ev.aux);
+    return out;
+}
+
+std::string
 flight_text(const std::vector<SpanEvent> &events)
 {
     if (events.empty())
         return "  (no span events recorded)\n";
     std::string out;
-    for (const SpanEvent &ev : events) {
-        out += strprintf(
-            "  t=[%.2f, %.2f] us  cell %-3d %-12s trace %llu",
-            ticks_to_us(ev.begin), ticks_to_us(ev.end), ev.cell,
-            event_name(ev),
-            static_cast<unsigned long long>(ev.traceId));
-        if (ev.op != SpanOp::none)
-            out += strprintf(" op=%s", to_string(ev.op));
-        if (ev.aux != 0)
-            out += strprintf(" aux=%u", ev.aux);
-        out += "\n";
-    }
+    for (const SpanEvent &ev : events)
+        out += "  " + flight_line(ev) + "\n";
     return out;
 }
 

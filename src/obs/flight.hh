@@ -39,6 +39,11 @@ class FlightRecorder
     /** Store @p ev, overwriting the oldest event when full. */
     void push(const SpanEvent &ev);
 
+    /** The slot the next event goes to (the oldest when full),
+     *  counted as pushed; the caller fills it in. Inline in
+     *  obs/span.hh, where SpanEvent is complete. */
+    SpanEvent &next_slot();
+
     /** Events currently retained. */
     std::size_t size() const;
 
@@ -62,8 +67,14 @@ class FlightRecorder
 };
 
 /**
- * Render flight-recorder @p events as a postmortem text block: one
- * line per event with trace id, stage or mark, cell and tick window.
+ * One event as text: tick window, cell, stage or mark name, trace id,
+ * and op and aux when set. No indent, no newline.
+ */
+std::string flight_line(const SpanEvent &ev);
+
+/**
+ * Render flight-recorder @p events as a postmortem text block, one
+ * indented flight_line() per event.
  */
 std::string flight_text(const std::vector<SpanEvent> &events);
 

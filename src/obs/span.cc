@@ -1,6 +1,8 @@
 #include "obs/span.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <utility>
 
 #include "base/logging.hh"
 #include "obs/json.hh"
@@ -128,6 +130,12 @@ to_string(SpanMark mark)
         return "job";
       case SpanMark::window:
         return "window";
+      case SpanMark::checksum_drop:
+        return "checksum_drop";
+      case SpanMark::dup_drop:
+        return "dup_drop";
+      case SpanMark::flag_fault:
+        return "flag_fault";
     }
     return "?";
 }
@@ -139,7 +147,72 @@ event_name(const SpanEvent &ev)
                                      : to_string(ev.stage);
 }
 
-SpanLayer::SpanLayer(int cells, std::size_t flightCapacity)
+namespace
+{
+
+std::string
+lower(std::string s)
+{
+    for (char &c : s)
+        if (c >= 'A' && c <= 'Z')
+            c += 'a' - 'A';
+    return s;
+}
+
+} // namespace
+
+std::atomic<std::uint64_t> narrationMask{0};
+
+void
+set_narration_mask(std::uint64_t mask)
+{
+    narrationMask.store(mask, std::memory_order_relaxed);
+}
+
+bool
+parse_event_names(const std::string &csv, std::uint64_t &mask,
+                  std::string *err)
+{
+    // Every stage and mark name with its bit; "none" is not an event.
+    std::vector<std::pair<const char *, std::uint64_t>> names;
+    for (int s = 0; s < span_stage_count; ++s)
+        names.emplace_back(to_string(static_cast<SpanStage>(s)),
+                           narration_bit(static_cast<SpanStage>(s)));
+    for (int m = 1; m < span_mark_count; ++m)
+        names.emplace_back(to_string(static_cast<SpanMark>(m)),
+                           narration_bit(static_cast<SpanMark>(m)));
+
+    std::size_t at = 0;
+    while (at <= csv.size()) {
+        std::size_t comma = csv.find(',', at);
+        std::string name = csv.substr(
+            at, comma == std::string::npos ? comma : comma - at);
+        at = comma == std::string::npos ? csv.size() + 1 : comma + 1;
+        if (name.empty())
+            continue;
+        std::string want = lower(name);
+        std::uint64_t bits = 0;
+        for (const auto &[n, bit] : names)
+            if (want == "all" || want == n)
+                bits |= bit;
+        if (bits == 0) {
+            if (err) {
+                *err = strprintf("unknown debug flag '%s' (valid:",
+                                 name.c_str());
+                for (const auto &[n, bit] : names)
+                    *err += strprintf(" %s", n);
+                *err += " All)";
+            }
+            return false;
+        }
+        mask |= bits;
+    }
+    return true;
+}
+
+SpanLayer::SpanLayer(int cells, std::size_t flightCapacity,
+                     bool shared)
+    : shared(shared)
 {
     rings.reserve(static_cast<std::size_t>(cells) + 1);
     for (int i = 0; i < cells + 1; ++i)
@@ -149,47 +222,31 @@ SpanLayer::SpanLayer(int cells, std::size_t flightCapacity)
 }
 
 void
-SpanLayer::record(std::int32_t cell, std::uint64_t traceId,
-                  SpanStage stage, Tick begin, Tick end, SpanOp op,
-                  std::uint32_t aux)
-{
-    if (mode_ == SpanMode::off || traceId == 0)
-        return;
-    SpanEvent ev;
-    ev.traceId = traceId;
-    ev.begin = begin;
-    ev.end = end;
-    ev.cell = cell;
-    ev.stage = stage;
-    ev.op = op;
-    ev.aux = aux;
-    push(ev);
-}
-
-void
 SpanLayer::mark(std::int32_t cell, SpanMark m, Tick begin, Tick end,
                 std::uint64_t traceId, std::uint32_t aux)
 {
-    if (mode_ == SpanMode::off)
-        return;
-    SpanEvent ev;
-    ev.traceId = traceId != 0 ? traceId : new_trace();
-    ev.begin = begin;
-    ev.end = end;
-    ev.cell = cell;
-    ev.mark = m;
-    ev.aux = aux;
-    push(ev);
+    if (mode_ != SpanMode::off)
+        push(cell, traceId != 0 ? traceId : new_trace(),
+             SpanStage::issue, m, SpanOp::none, begin, end, aux);
 }
 
 void
-SpanLayer::push(const SpanEvent &ev)
+SpanLayer::push_slow(const SpanEvent &ev)
 {
-    std::size_t idx = static_cast<std::size_t>(ev.cell + 1);
-    if (idx >= rings.size())
-        idx = 0; // out-of-range track lands on the machine ring
-    {
+    std::uint64_t mask = narration_mask();
+    if (mask & (ev.mark != SpanMark::none ? narration_bit(ev.mark)
+                                          : narration_bit(ev.stage))) {
+        // One fputs per line: lines from concurrent shards never
+        // interleave.
+        std::string line = flight_line(ev) + "\n";
+        std::fputs(line.c_str(), stderr);
+    }
+
+    std::size_t idx = ring_index(ev.cell);
+    if (shared) {
         std::lock_guard<std::mutex> lock(ringLocks[idx]);
+        rings[idx].push(ev);
+    } else {
         rings[idx].push(ev);
     }
 
@@ -299,12 +356,6 @@ span_chrome_json(const std::vector<SpanEvent> &events)
     }
     out += "\n]}\n";
     return out;
-}
-
-std::string
-span_text(const std::vector<SpanEvent> &events)
-{
-    return flight_text(events);
 }
 
 } // namespace ap::obs

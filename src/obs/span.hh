@@ -17,7 +17,8 @@
  * pipeline — injected faults, queue spills and refills, waits,
  * collectives, job attempts, kernel windows — recorded by the same
  * probes, into the same rings and log. It is the machine's one trace
- * pipeline; `--trace-out` is the full log rendered as Chrome JSON.
+ * pipeline; `--trace-out` is the full log rendered as Chrome JSON and
+ * `--debug-flags` narrates selected events to stderr as they land.
  *
  * Three modes:
  *  - off:    no ids, no events, probes cost one predictable branch;
@@ -126,7 +127,13 @@ enum class SpanMark : std::uint8_t
     movewait,     ///< runtime MOVEWAIT, entry to return
     job,          ///< serve job attempt (aux = job id)
     window,       ///< kernel window, one shard's busy part (aux = shard)
+    checksum_drop, ///< reliable layer dropped a corrupted message
+    dup_drop,     ///< reliable layer dropped a duplicate message
+    flag_fault,   ///< MC flag update hit an unmapped page
 };
+
+constexpr int span_mark_count =
+    static_cast<int>(SpanMark::flag_fault) + 1;
 
 const char *to_string(SpanMark mark);
 
@@ -154,6 +161,17 @@ struct SpanEvent
 // their size.
 static_assert(sizeof(SpanEvent) == 40);
 
+inline SpanEvent &
+FlightRecorder::next_slot()
+{
+    ++count;
+    if (ring.size() < cap)
+        return ring.emplace_back();
+    SpanEvent &slot = ring[head];
+    head = head + 1 == cap ? 0 : head + 1;
+    return slot;
+}
+
 /** Display name of @p ev: its mark, or its stage for stage events. */
 const char *event_name(const SpanEvent &ev);
 
@@ -162,8 +180,50 @@ const char *event_name(const SpanEvent &ev);
  *  events; trace id and op in args). */
 std::string span_chrome_json(const std::vector<SpanEvent> &events);
 
-/** Render @p events as a flat text table, one line per event. */
-std::string span_text(const std::vector<SpanEvent> &events);
+/**
+ * Live narration (`--debug-flags=spill,refill`): a process-wide mask
+ * of event names. SpanLayer writes every recorded event whose name is
+ * selected to stderr as one flight_line(). Stage s is bit s; mark m
+ * is bit span_stage_count + m - 1.
+ */
+constexpr std::uint64_t
+narration_bit(SpanStage stage)
+{
+    return std::uint64_t{1} << static_cast<int>(stage);
+}
+
+constexpr std::uint64_t
+narration_bit(SpanMark mark)
+{
+    return std::uint64_t{1}
+           << (span_stage_count + static_cast<int>(mark) - 1);
+}
+
+static_assert(span_stage_count + span_mark_count - 1 <= 64);
+
+/** The narration mask; tested inline on every recorded event.
+ *  Relaxed: it is set before a run and only read while shards
+ *  record. */
+extern std::atomic<std::uint64_t> narrationMask;
+
+/** The narration mask (0, the default, narrates nothing). */
+inline std::uint64_t
+narration_mask()
+{
+    return narrationMask.load(std::memory_order_relaxed);
+}
+
+/** Replace the narration mask. */
+void set_narration_mask(std::uint64_t mask);
+
+/**
+ * OR the events named in the comma-separated @p csv into @p mask.
+ * Names are the stage and mark names (to_string), case-insensitive;
+ * "All" selects every event. @return false on an unknown name, with
+ * it and the valid names in @p err when non-null.
+ */
+bool parse_event_names(const std::string &csv, std::uint64_t &mask,
+                       std::string *err = nullptr);
 
 /**
  * The machine-wide span recorder. Owned by hw::Machine; hardware
@@ -182,8 +242,12 @@ class SpanLayer
      * @param cells machine size (rings are per cell plus one
      *              machine-wide ring for cell id -1)
      * @param flightCapacity per-cell flight-recorder bound, events
+     * @param shared  events arrive from several host threads (the
+     *                sharded kernel): lock each ring around a push
+     *                and mint trace ids atomically
      */
-    SpanLayer(int cells, std::size_t flightCapacity);
+    SpanLayer(int cells, std::size_t flightCapacity,
+              bool shared = true);
 
     SpanMode mode() const { return mode_; }
     void set_mode(SpanMode mode) { mode_ = mode; }
@@ -191,15 +255,19 @@ class SpanLayer
     /** @return true when events are being recorded at all. */
     bool on() const { return mode_ != SpanMode::off; }
 
-    /** Allocate a machine-unique trace id; 0 while off. Atomic:
-     *  cells on different shards mint ids concurrently. */
+    /** Allocate a machine-unique trace id; 0 while off. Atomic when
+     *  shared: cells on different shards mint ids concurrently. */
     std::uint64_t
     new_trace()
     {
-        return on() ? lastTrace.fetch_add(
-                          1, std::memory_order_relaxed) +
-                          1
-                    : 0;
+        if (!on())
+            return 0;
+        if (shared)
+            return lastTrace.fetch_add(1, std::memory_order_relaxed) +
+                   1;
+        std::uint64_t id = lastTrace.load(std::memory_order_relaxed) + 1;
+        lastTrace.store(id, std::memory_order_relaxed);
+        return id;
     }
 
     /**
@@ -208,9 +276,15 @@ class SpanLayer
      * into the owning cell's ring only; full mode also appends to
      * the in-order log.
      */
-    void record(std::int32_t cell, std::uint64_t traceId,
-                SpanStage stage, Tick begin, Tick end,
-                SpanOp op = SpanOp::none, std::uint32_t aux = 0);
+    void
+    record(std::int32_t cell, std::uint64_t traceId, SpanStage stage,
+           Tick begin, Tick end, SpanOp op = SpanOp::none,
+           std::uint32_t aux = 0)
+    {
+        if (mode_ != SpanMode::off && traceId != 0)
+            push(cell, traceId, stage, SpanMark::none, op, begin, end,
+                 aux);
+    }
 
     /**
      * Record mark @p m over [begin, end] (begin == end: an instant)
@@ -241,7 +315,45 @@ class SpanLayer
     flight_events(std::size_t maxPerCell = 0) const;
 
   private:
-    void push(const SpanEvent &ev);
+    /**
+     * Every event's way into the sinks. The common case — one host
+     * thread, flight mode, no narration — writes the fields straight
+     * into the cell's ring slot: copying a just-built SpanEvent
+     * stalls on store forwarding. Everything else is push_slow().
+     */
+    void
+    push(std::int32_t cell, std::uint64_t traceId, SpanStage stage,
+         SpanMark mark, SpanOp op, Tick begin, Tick end,
+         std::uint32_t aux)
+    {
+        if (shared || mode_ == SpanMode::full || narration_mask() != 0)
+            [[unlikely]] {
+            push_slow({traceId, begin, end, cell, stage, op, mark, aux});
+            return;
+        }
+        SpanEvent &ev = rings[ring_index(cell)].next_slot();
+        ev.traceId = traceId;
+        ev.begin = begin;
+        ev.end = end;
+        ev.cell = cell;
+        ev.stage = stage;
+        ev.op = op;
+        ev.mark = mark;
+        ev.aux = aux;
+    }
+
+    /** Narrate @p ev, then store it under the ring lock when shared
+     *  and append it to the full log in full mode. */
+    void push_slow(const SpanEvent &ev);
+
+    /** Ring of @p cell; an out-of-range track lands on the machine
+     *  ring. */
+    std::size_t
+    ring_index(std::int32_t cell) const
+    {
+        std::size_t idx = static_cast<std::size_t>(cell + 1);
+        return idx < rings.size() ? idx : 0;
+    }
 
     SpanMode mode_ = SpanMode::flight;
     std::atomic<std::uint64_t> lastTrace{0};
@@ -255,6 +367,8 @@ class SpanLayer
     /** One lock per ring: a cell's ring is fed by its own shard AND
      *  by remote senders recording net spans at the destination. */
     std::unique_ptr<std::mutex[]> ringLocks;
+    /** Constructor's @p shared; false on a one-thread kernel. */
+    bool shared;
 };
 
 } // namespace ap::obs

@@ -62,7 +62,8 @@ usage(const char *prog)
         "  --trace-out=FILE   write the full span log (stages and\n"
         "                     marks) as Chrome trace JSON\n"
         "  --timeline-out=FILE  write the perf-timeline JSON\n"
-        "  --debug-flags=A,B  narrate categories to stderr\n",
+        "  --debug-flags=A,B  narrate the named span events to\n"
+        "                     stderr (spill,refill,net,...; All)\n",
         prog);
 }
 

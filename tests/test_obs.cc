@@ -1,21 +1,22 @@
 /**
  * @file
  * Telemetry-layer tests: JSON emitter/validator, the stats registry
- * (paths, pattern queries, subtree removal, dumps), debug-flag
- * parsing, and the end-to-end span stream of a two-cell PUT
- * program.
+ * (paths, pattern queries, subtree removal, dumps), --debug-flags
+ * narration over the span stream, and the end-to-end span stream of
+ * a two-cell PUT program.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "base/logging.hh"
 #include "core/ap1000p.hh"
 #include "obs/cli.hh"
-#include "obs/debug.hh"
 #include "obs/json.hh"
 #include "obs/stats_registry.hh"
 #include "obs/span.hh"
@@ -163,40 +164,224 @@ TEST(StatsRegistry, RuntimeRegistersAndUnregistersItsSubtree)
               nullptr);
 }
 
-// ------------------------------------------------------------ debug flags
+// -------------------------------------------------------------- narration
 
 namespace
 {
 
-/** Restore a clean mask around every debug-flag test. */
+/** Restore a clean narration mask around every --debug-flags test. */
 struct MaskReset
 {
-    ~MaskReset() { set_debug_mask(0); }
+    ~MaskReset() { set_narration_mask(0); }
 };
+
+/** The narration lines (flight_line format) of captured stderr. */
+std::vector<std::string>
+narrated_lines(const std::string &err)
+{
+    std::vector<std::string> out;
+    std::istringstream in(err);
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("t=[", 0) == 0)
+            out.push_back(line);
+    return out;
+}
+
+/** Narration lines naming event @p name for cell @p cell. */
+std::size_t
+count_lines(const std::vector<std::string> &lines, int cell,
+            const char *name)
+{
+    std::string key = strprintf("cell %-3d %-12s ", cell, name);
+    std::size_t n = 0;
+    for (const std::string &l : lines)
+        n += l.find(key) != std::string::npos;
+    return n;
+}
 
 } // namespace
 
-TEST(DebugFlags, ParseAppliesAndRejects)
+TEST(Narration, EveryEventNameParsesToItsOwnBit)
 {
-    MaskReset reset;
-    set_debug_mask(0);
-    EXPECT_FALSE(debug_enabled(Dbg::MSC));
+    std::set<std::string> seen;
+    std::uint64_t all = 0;
+    auto check = [&](const char *name, std::uint64_t bit) {
+        EXPECT_STRNE(name, "?");
+        EXPECT_TRUE(seen.insert(name).second) << "duplicate " << name;
+        EXPECT_EQ(all & bit, 0u) << "shared bit: " << name;
+        all |= bit;
+        std::uint64_t mask = 0;
+        EXPECT_TRUE(parse_event_names(name, mask)) << name;
+        EXPECT_EQ(mask, bit) << name;
+    };
+    for (int i = 0; i < span_stage_count; ++i) {
+        auto st = static_cast<SpanStage>(i);
+        check(to_string(st), narration_bit(st));
+    }
+    for (int i = 1; i < span_mark_count; ++i) {
+        auto mk = static_cast<SpanMark>(i);
+        check(to_string(mk), narration_bit(mk));
+    }
 
-    EXPECT_TRUE(parse_debug_flags("MSC,dma"));
-    EXPECT_TRUE(debug_enabled(Dbg::MSC));
-    EXPECT_TRUE(debug_enabled(Dbg::DMA));
-    EXPECT_FALSE(debug_enabled(Dbg::TNet));
+    std::uint64_t mask = 0;
+    EXPECT_TRUE(parse_event_names("All", mask));
+    EXPECT_EQ(mask, all);
+    mask = 0;
+    EXPECT_TRUE(parse_event_names("SPILL,Refill,", mask));
+    EXPECT_EQ(mask, narration_bit(SpanMark::spill) |
+                        narration_bit(SpanMark::refill));
 
     std::string err;
-    EXPECT_FALSE(parse_debug_flags("TNet,bogus", &err));
-    EXPECT_NE(err.find("bogus"), std::string::npos);
-    // Known names before the bad one still applied.
-    EXPECT_TRUE(debug_enabled(Dbg::TNet));
+    EXPECT_FALSE(parse_event_names("spill,bogus", mask, &err));
+    EXPECT_NE(err.find("'bogus'"), std::string::npos) << err;
+    EXPECT_NE(err.find("flag_fault"), std::string::npos) << err;
+    EXPECT_FALSE(parse_event_names("none", mask));
+    EXPECT_FALSE(parse_event_names("MSC", mask));
+}
 
-    set_debug_mask(0);
-    EXPECT_TRUE(parse_debug_flags("All"));
-    for (Dbg f : all_debug_flags())
-        EXPECT_TRUE(debug_enabled(f)) << to_string(f);
+TEST(Narration, OverflowRunNarratesExactlyTheSelectedMarks)
+{
+    MaskReset reset;
+    std::uint64_t mask = 0;
+    ASSERT_TRUE(parse_event_names("spill,refill", mask));
+    set_narration_mask(mask);
+
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.faults = sim::FaultPlan::overflows(11, 1.0);
+    hw::Machine m(cfg);
+    testing::internal::CaptureStderr();
+    core::SpmdResult r = core::run_spmd(m, [&](core::Context &ctx) {
+        Addr flag = ctx.alloc_flag();
+        Addr buf = ctx.alloc(64);
+        if (ctx.id() == 0)
+            ctx.put(1, buf, buf, 64, no_flag, flag);
+        else
+            ctx.wait_flag(flag, 1);
+    });
+    std::vector<std::string> lines =
+        narrated_lines(testing::internal::GetCapturedStderr());
+    set_narration_mask(0);
+    ASSERT_FALSE(r.failed());
+
+    // Exactly the spill and refill events of the flight rings, line
+    // for line: same cell, trace id and ticks, nothing else.
+    std::uint64_t putTrace = 0;
+    std::vector<std::string> want;
+    for (const SpanEvent &e : m.spans().flight_events()) {
+        if (e.op == SpanOp::put)
+            putTrace = e.traceId;
+        if (e.mark == SpanMark::spill || e.mark == SpanMark::refill)
+            want.push_back(flight_line(e));
+    }
+    std::sort(want.begin(), want.end());
+    std::vector<std::string> got = lines;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want);
+
+    EXPECT_GE(count_lines(lines, 0, "spill"), 1u);
+    EXPECT_GE(count_lines(lines, 0, "refill"), 1u);
+    EXPECT_EQ(count_lines(lines, 0, "forced_spill"), 0u);
+    ASSERT_NE(putTrace, 0u);
+    std::string putSpill =
+        strprintf("cell 0   %-12s trace %llu", "spill",
+                  static_cast<unsigned long long>(putTrace));
+    EXPECT_TRUE(std::any_of(lines.begin(), lines.end(),
+                            [&](const std::string &l) {
+                                return l.find(putSpill) !=
+                                       std::string::npos;
+                            }))
+        << putSpill;
+}
+
+TEST(Narration, ReliableDropMarksMatchTheRnetCounters)
+{
+    MaskReset reset;
+    std::uint64_t mask = 0;
+    ASSERT_TRUE(parse_event_names("checksum_drop,dup_drop", mask));
+    set_narration_mask(mask);
+
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(4);
+    cfg.memBytesPerCell = 1 << 20;
+    cfg.reliableNet = true;
+    cfg.faults.seed = 7;
+    cfg.faults.corruptProb = 0.1;
+    cfg.faults.dupProb = 0.1;
+    hw::Machine m(cfg);
+    testing::internal::CaptureStderr();
+    core::SpmdResult r = core::run_spmd(m, [&](core::Context &ctx) {
+        Addr flag = ctx.alloc_flag();
+        Addr buf = ctx.alloc(256);
+        int next = (ctx.id() + 1) % 4;
+        for (int i = 0; i < 32; ++i)
+            ctx.put(next, buf, buf, 256, no_flag, flag);
+        ctx.wait_flag(flag, 32);
+    });
+    std::vector<std::string> lines =
+        narrated_lines(testing::internal::GetCapturedStderr());
+    set_narration_mask(0);
+    ASSERT_FALSE(r.failed());
+
+    std::uint64_t checksum = 0, dup = 0;
+    for (int c = 0; c < 4; ++c) {
+        std::string p = strprintf("cell%d.rnet.", c);
+        EXPECT_EQ(count_lines(lines, c, "checksum_drop"),
+                  m.stats_registry().value(p + "checksum_drops"))
+            << "cell " << c;
+        EXPECT_EQ(count_lines(lines, c, "dup_drop"),
+                  m.stats_registry().value(p + "dup_drops"))
+            << "cell " << c;
+        checksum += m.stats_registry().value(p + "checksum_drops");
+        dup += m.stats_registry().value(p + "dup_drops");
+    }
+    EXPECT_GT(checksum, 0u);
+    EXPECT_GT(dup, 0u);
+    EXPECT_EQ(lines.size(), checksum + dup);
+}
+
+TEST(Narration, FlagFaultIsAMarkUnderThePutsTraceId)
+{
+    MaskReset reset;
+    std::uint64_t mask = 0;
+    ASSERT_TRUE(parse_event_names("flag_fault", mask));
+    set_narration_mask(mask);
+
+    // The PUT's data lands, but its receive flag sits on a page cell 1
+    // unmapped: the MC flag update faults.
+    hw::MachineConfig cfg = hw::MachineConfig::ap1000_plus(2);
+    cfg.memBytesPerCell = 1 << 20;
+    hw::Machine m(cfg);
+    testing::internal::CaptureStderr();
+    core::SpmdResult r = core::run_spmd(m, [&](core::Context &ctx) {
+        Addr buf = ctx.alloc(64);
+        if (ctx.id() == 1)
+            ctx.cell().mc().mmu().unmap(0x80000);
+        ctx.barrier();
+        if (ctx.id() == 0)
+            ctx.put(1, buf, buf, 64, no_flag, 0x80000);
+        ctx.barrier();
+    });
+    std::vector<std::string> lines =
+        narrated_lines(testing::internal::GetCapturedStderr());
+    set_narration_mask(0);
+    ASSERT_FALSE(r.failed());
+    ASSERT_EQ(m.stats_registry().value("cell1.mc.flag_faults"), 1u);
+
+    std::uint64_t putTrace = 0;
+    for (const SpanEvent &e : m.spans().flight(0).snapshot())
+        if (e.op == SpanOp::put)
+            putTrace = e.traceId;
+    ASSERT_NE(putTrace, 0u);
+    std::size_t marks = 0;
+    for (const SpanEvent &e : m.spans().flight(1).snapshot())
+        marks += e.mark == SpanMark::flag_fault && e.traceId == putTrace;
+    EXPECT_EQ(marks, 1u);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find(strprintf(
+                  "cell 1   %-12s trace %llu", "flag_fault",
+                  static_cast<unsigned long long>(putTrace))),
+              std::string::npos)
+        << lines[0];
 }
 
 TEST(DebugFlags, ObsArgConsumption)
@@ -209,9 +394,11 @@ TEST(DebugFlags, ObsArgConsumption)
     EXPECT_EQ(opt.traceOut, "t.json");
     EXPECT_TRUE(opt.any());
 
-    set_debug_mask(0);
-    EXPECT_TRUE(consume_obs_arg("--debug-flags=Queue", opt));
-    EXPECT_TRUE(debug_enabled(Dbg::Queue));
+    set_narration_mask(0);
+    EXPECT_TRUE(consume_obs_arg("--debug-flags=Spill", opt));
+    EXPECT_TRUE(consume_obs_arg("--debug-flags=net", opt));
+    EXPECT_EQ(narration_mask(), narration_bit(SpanMark::spill) |
+                                    narration_bit(SpanStage::net));
 
     EXPECT_FALSE(consume_obs_arg("--cells=4", opt));
     EXPECT_FALSE(consume_obs_arg("stray", opt));
